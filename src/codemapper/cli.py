@@ -17,6 +17,7 @@ from codemapper.evaluation import (
     context_sweep,
     evaluate,
     load_dataset,
+    target_to_json,
 )
 from codemapper.gitio import NotFound, RepoError
 from codemapper.pipeline import MappingResult, map_region
@@ -84,22 +85,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _region_json(target) -> dict | str:
-    if isinstance(target, DeletedRegion):
-        return "deleted"
-    rng = target.range
-    return {
-        "commit": target.commit,
-        "file": target.file,
-        "l1": rng.l1,
-        "c1": rng.c1,
-        "l2": rng.l2,
-        "c2": rng.c2,
-    }
-
-
 def _map_output(result: MappingResult, args) -> dict:
-    out: dict = {"source": _region_json(result.source), "target": _region_json(result.target)}
+    out: dict = {
+        "source": target_to_json(result.source),
+        "target": target_to_json(result.target),
+    }
     if result.reason:
         out["reason"] = result.reason
     selected = result.selected
@@ -109,7 +99,7 @@ def _map_output(result: MappingResult, args) -> dict:
     if args.verbose:
         out["candidates"] = [
             {
-                "region": _region_json(cand.region),
+                "region": target_to_json(cand.region),
                 "origin": cand.origin.value,
                 "similarity": cand.similarity,
             }

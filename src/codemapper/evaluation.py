@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from codemapper.gitio import GitGateway, RepoError
+from codemapper.gitio import GitGateway, RepoError, git_executable
 from codemapper.pipeline import map_region
 from codemapper.regions import (
     DELETED,
@@ -322,7 +322,8 @@ class EvalReport:
         }
 
 
-def _target_to_json(target: Target | None):
+def target_to_json(target: Target | None):
+    """JSON form of a mapped region: its coordinates, "deleted" or None."""
     if target is None:
         return None
     if isinstance(target, DeletedRegion):
@@ -343,8 +344,8 @@ def _result_to_json(result: RecordResult) -> dict:
         "name": result.record.name,
         "repo": result.record.repo,
         "tags": list(result.record.tags),
-        "predicted": _target_to_json(result.predicted),
-        "expected": _target_to_json(result.record.expected),
+        "predicted": target_to_json(result.predicted),
+        "expected": target_to_json(result.record.expected),
     }
     if result.outcome is not None:
         out["outcome"] = {
@@ -359,17 +360,19 @@ def _result_to_json(result: RecordResult) -> dict:
     return out
 
 
-def _resolve_repo(repo: str, base_dir, cache_dir) -> str:
+def _resolve_repo(repo: str, base_dir, cache_dir, git_bin) -> str:
     if "://" in repo or repo.endswith(".git"):
         cache_root = Path(cache_dir) if cache_dir else Path.home() / ".cache" / "codemapper"
         cache_root.mkdir(parents=True, exist_ok=True)
         clone = cache_root / hashlib.sha1(repo.encode()).hexdigest()[:16]
         if not clone.exists():
-            subprocess.run(
-                ["git", "clone", "--quiet", repo, str(clone)],
-                check=True,
+            proc = subprocess.run(
+                [git_executable(git_bin), "clone", "--quiet", repo, str(clone)],
                 capture_output=True,
             )
+            if proc.returncode != 0:
+                stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+                raise RepoError(f"git clone {repo} failed ({proc.returncode}): {stderr}")
         return str(clone)
     path = Path(repo)
     if not path.is_absolute() and base_dir is not None:
@@ -385,7 +388,7 @@ def evaluate_record(
     git_bin=None,
 ) -> RecordResult:
     try:
-        repo = _resolve_repo(record.repo, base_dir, cache_dir)
+        repo = _resolve_repo(record.repo, base_dir, cache_dir, git_bin)
         result = map_region(repo, record.source, record.target_commit, config, git_bin)
         predicted = result.target
         if isinstance(record.expected, Region):

@@ -22,6 +22,11 @@ GIT_ENV_VAR = "CODEMAPPER_GIT"
 # "old") instead of at whitespace only.
 WORD_DIFF_REGEX = "[[:alnum:]_]+|[^[:space:]]"
 
+# A caller's GIT_EXTERNAL_DIFF, diff.external or textconv config would
+# replace git's own output (an external tool that prints nothing leaves an
+# empty report), so every `git diff` turns both off.
+DIFF_ISOLATION = ("--no-ext-diff", "--no-textconv")
+
 
 class RepoError(RuntimeError):
     """Git invocation failed or the repository is unusable."""
@@ -96,12 +101,17 @@ class FileDeleted:
 FILE_DELETED = FileDeleted()
 
 
+def git_executable(git_bin: str | None) -> str:
+    """The git to run: `git_bin`, else $CODEMAPPER_GIT, else `git` on PATH."""
+    return git_bin or os.environ.get(GIT_ENV_VAR) or "git"
+
+
 class GitGateway:
     """Read-only access to one repository via the git executable."""
 
     def __init__(self, repo, git_bin: str | None = None):
         self.repo = Path(repo)
-        self.git = git_bin or os.environ.get(GIT_ENV_VAR) or "git"
+        self.git = git_executable(git_bin)
         self._rev_cache: dict[str, str] = {}
 
     def _run(self, args, *, ok=(0,), cwd=None) -> subprocess.CompletedProcess:
@@ -196,7 +206,7 @@ class GitGateway:
         return None
 
     def _endpoint_rename(self, src: str, path: str, tgt: str) -> str | None:
-        proc = self._run(["diff", "--name-status", "--find-renames", src, tgt])
+        proc = self._run(["diff", *DIFF_ISOLATION, "--name-status", "--find-renames", src, tgt])
         for line in proc.stdout.decode("utf-8", errors="replace").splitlines():
             fields = line.split("\t")
             if len(fields) == 3 and fields[0].startswith("R") and fields[1] == path:
@@ -254,6 +264,7 @@ class GitGateway:
             for config in configs:
                 args = [
                     "diff",
+                    *DIFF_ISOLATION,
                     "--no-index",
                     "--no-color",
                     f"--unified={context_lines}",

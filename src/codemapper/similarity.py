@@ -1,56 +1,50 @@
 """Levenshtein distance and similarity.
 
-The distance kernel exists twice: a compiled Cython extension for the hot
-inner loop and a pure-Python fallback. The backend is picked once at import;
-set CODEMAPPER_PURE_PYTHON=1 to force the fallback.
+The distance kernel is Myers' bit-vector algorithm (J. ACM 46(3), 1999) in
+Hyyrö's edit-distance form (Nordic J. Computing 10(1), 2003). Python ints
+serve as bit-vectors of arbitrary width, so one pass over the shorter string
+costs O(len(shorter)) big-int operations instead of a full DP table.
 """
 
-import os
 
-
-def _levenshtein_py(a: str, b: str) -> int:
-    """Two-row dynamic-programming edit distance; the fallback kernel."""
+def _kernel(a: str, b: str) -> int:
+    """Bit-parallel edit distance; the longer string is the bit pattern."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        prev_j = prev[0]
-        for j, cb in enumerate(b, 1):
-            cost = prev_j if ca == cb else prev_j + 1
-            prev_j = prev[j]
-            down = prev_j + 1
-            if down < cost:
-                cost = down
-            right = cur[j - 1] + 1
-            if right < cost:
-                cost = right
-            append(cost)
-        prev = cur
-    return prev[-1]
-
-
-if os.environ.get("CODEMAPPER_PURE_PYTHON"):
-    _kernel = _levenshtein_py
-    BACKEND = "python"
-else:
-    try:
-        from codemapper._speedups import levenshtein_kernel as _kernel
-
-        BACKEND = "c"
-    except ImportError:
-        _kernel = _levenshtein_py
-        BACKEND = "python"
+    # peq[c] has bit i set where a[i] == c.
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    high = bit >> 1
+    # vp/vn: positive/negative vertical deltas of the current DP column;
+    # dist tracks its last cell, D[len(a)][j].
+    vp, vn, dist = full, 0, len(a)
+    get = peq.get
+    for c in b:
+        eq = get(c, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & full
+        hp = vn | (full ^ (d0 | vp))
+        hn = vp & d0
+        if hp & high:
+            dist += 1
+        elif hn & high:
+            dist -= 1
+        x = (hp << 1) | 1
+        vn = x & d0
+        vp = ((hn << 1) | (full ^ (d0 | x))) & full
+    return dist
 
 
 def levenshtein_distance(a: str, b: str) -> int:
     if a == b:
         return 0
-    # Stripping a common prefix/suffix preserves the distance and skips the
-    # bulk of the DP table on context-heavy inputs.
+    # Stripping a common prefix/suffix preserves the distance and narrows
+    # the bit-vectors on context-heavy inputs.
     lo = 0
     hi_a, hi_b = len(a), len(b)
     lo_max = min(hi_a, hi_b)

@@ -2,6 +2,8 @@
 
 import json
 import random
+import shutil
+import subprocess
 
 import pytest
 
@@ -17,12 +19,15 @@ from codemapper.evaluation import (
     char_distance,
     classify_outcome,
     dump_dataset,
+    evaluate,
+    evaluate_record,
     load_dataset,
     overlap_metrics,
     record_from_json,
     record_to_json,
 )
 from codemapper.regions import DELETED, AbsInterval, Region, make_range, range_of_interval
+from codemapper.selector import SelectionConfig
 
 TEXT = "".join(f"char line {i:04d} padded out to length\n" for i in range(60))
 
@@ -261,3 +266,44 @@ def test_evaluate_records_repo_errors_without_dying(tmp_path):
     assert report.aggregates.scored == 0
     assert report.results[0].error is not None
     assert report.results[0].outcome is None
+
+
+def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):
+    sha = repo_builder.commit({"f.py": "alpha\nbeta\n"})
+    bare = tmp_path / "origin.git"
+    subprocess.run(
+        ["git", "clone", "--quiet", "--bare", str(repo_builder.path), str(bare)],
+        check=True,
+        capture_output=True,
+    )
+    log = tmp_path / "git-calls.log"
+    wrapper = tmp_path / "logging-git"
+    wrapper.write_text(
+        f'#!/bin/sh\necho "$1" >> "{log}"\nexec "{shutil.which("git")}" "$@"\n',
+        encoding="utf-8",
+    )
+    wrapper.chmod(0o755)
+    region = Region(sha, "f.py", make_range(2, 1, 2, 4))
+    record = EvalRecord(repo=str(bare), source=region, target_commit=sha, expected=region)
+
+    result = evaluate_record(
+        record, SelectionConfig(), cache_dir=tmp_path / "cache", git_bin=str(wrapper)
+    )
+
+    assert result.error is None
+    assert result.outcome.kind is OutcomeKind.EXACT
+    calls = log.read_text(encoding="utf-8").split()
+    assert calls[0] == "clone"
+    assert "rev-parse" in calls
+
+
+def test_failed_clone_is_a_record_error(tmp_path):
+    record = EvalRecord(
+        repo=str(tmp_path / "missing.git"),
+        source=Region("a" * 40, "f.py", make_range(1, 1, 1, 2)),
+        target_commit="b" * 40,
+        expected=DELETED,
+    )
+    report = evaluate([record], cache_dir=tmp_path / "cache")
+    assert report.aggregates.errors == 1
+    assert report.results[0].error.startswith("RepoError: git clone")

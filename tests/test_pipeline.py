@@ -152,6 +152,16 @@ class TestMapRegion:
         target_text = text(["padding"] + [f"line {i}" for i in range(1, 13)])
         assert extract_text(target_text, result.target.range) == "line 8"
 
+    def test_external_diff_tool_does_not_change_the_answer(self, repo_builder, monkeypatch):
+        # A caller's GIT_EXTERNAL_DIFF that prints nothing would otherwise
+        # leave every diff report empty and the token unrefined.
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
+        source = Region(first, "f.py", make_range(5, 6, 5, 6))
+        clean = map_region(repo_builder.path, source, second)
+        monkeypatch.setenv("GIT_EXTERNAL_DIFF", "true")
+        assert map_region(repo_builder.path, source, second).target == clean.target
+
     def test_non_ascii_columns_count_codepoints(self, repo_builder):
         v1 = text(["# Maße prüfen", "wert = größe.alt", "print(wert)"])
         v2 = text(["# Maße prüfen", "wert = größe.neu", "print(wert)"])

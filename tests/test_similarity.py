@@ -1,15 +1,18 @@
-"""Levenshtein distance/similarity, including backend parity."""
+"""Levenshtein distance/similarity, checked against a full-matrix DP."""
+
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from codemapper import similarity
-from codemapper.similarity import (
-    _levenshtein_py,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
+from codemapper.similarity import levenshtein_distance, levenshtein_similarity
+
+# Small alphabets make matches dense, which exercises the carry chains of the
+# bit-parallel kernel; "\n" and a non-BMP character check that it works on
+# code points, not bytes or UTF-16 units.
+DENSE_ALPHABETS = ("ab", "ab\n", "a\U0001f600", "abc \n\U0001f600")
 
 
 def classic_dp(a: str, b: str) -> int:
@@ -50,17 +53,32 @@ def test_matches_reference_dp(a, b):
     assert levenshtein_distance(a, b) == classic_dp(a, b)
 
 
-@given(st.text(max_size=40), st.text(max_size=40))
-def test_pure_python_matches_reference(a, b):
-    assert _levenshtein_py(a, b) == classic_dp(a, b)
+@given(
+    st.sampled_from(DENSE_ALPHABETS).flatmap(
+        lambda alphabet: st.tuples(
+            st.text(alphabet=alphabet, max_size=150),
+            st.text(alphabet=alphabet, max_size=150),
+        )
+    )
+)
+def test_kernel_matches_reference_dp_dense(pair):
+    # Up to 150 characters, so the bit-vectors cross the 64- and 128-bit
+    # word boundaries.
+    a, b = pair
+    expected = classic_dp(a, b)
+    assert similarity._kernel(a, b) == expected
+    assert levenshtein_distance(a, b) == expected
 
 
-@pytest.mark.skipif(similarity.BACKEND != "c", reason="compiled kernel not built")
-@given(st.text(max_size=60), st.text(max_size=60))
-def test_compiled_kernel_matches_pure_python(a, b):
-    from codemapper._speedups import levenshtein_kernel
-
-    assert levenshtein_kernel(a, b) == _levenshtein_py(a, b)
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 128, 129])
+def test_kernel_at_word_boundaries(length):
+    rng = random.Random(length)
+    pattern = "".join(rng.choice("ab\n") for _ in range(length))
+    for other_length in sorted({0, 1, length // 2, length - 1, length}):
+        other = "".join(rng.choice("ab\n") for _ in range(other_length))
+        expected = classic_dp(pattern, other)
+        assert similarity._kernel(pattern, other) == expected
+        assert similarity._kernel(other, pattern) == expected
 
 
 @given(st.text(max_size=30), st.text(max_size=30))
