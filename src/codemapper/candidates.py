@@ -11,7 +11,14 @@ from enum import Enum
 
 from codemapper.diffparse import FragmentKind, FragmentLine, Hunk
 from codemapper.gitio import DiffConfig
-from codemapper.regions import DELETED, CharacterRange, DeletedRegion, Region
+from codemapper.regions import (
+    DELETED,
+    CharacterRange,
+    DeletedRegion,
+    Region,
+    line_count,
+    line_text,
+)
 
 
 class OverlapKind(Enum):
@@ -117,20 +124,18 @@ def _clamped(text: str, l1: int, c1: int, l2: int, c2: int) -> CharacterRange | 
     The start moves forward past empty/short lines, the end moves backward;
     a span left without any character yields None.
     """
-    lines = text.split("\n")
-    n = len(lines)
     l1, c1 = max(l1, 1), max(c1, 1)
-    l2 = min(l2, n)
-    while l1 <= min(l2, n) and c1 > len(lines[l1 - 1]):
+    l2 = min(l2, line_count(text))
+    while l1 <= l2 and c1 > len(line_text(text, l1)):
         l1 += 1
         c1 = 1
-    if l1 > l2 or l1 > n:
+    if l1 > l2:
         return None
-    c2 = min(c2, len(lines[l2 - 1]))
-    while l2 >= l1 and len(lines[l2 - 1]) == 0:
+    c2 = min(c2, len(line_text(text, l2)))
+    while l2 >= l1 and not line_text(text, l2):
         l2 -= 1
         if l2 >= l1:
-            c2 = len(lines[l2 - 1])
+            c2 = len(line_text(text, l2))
     if l2 < l1 or c2 < 1 or (l1, c1) > (l2, c2):
         return None
     return CharacterRange(l1, c1, l2, c2)
@@ -468,10 +473,8 @@ def _extract_from_report(
     def map_line(line: int) -> int:
         return line + sum(h.line_delta() for h in processed if h.source_end < line)
 
-    source_lines = source_text.split("\n")
-
     def source_line_len(line: int) -> int:
-        return len(source_lines[line - 1]) if line <= len(source_lines) else 0
+        return len(line_text(source_text, line)) if line <= line_count(source_text) else 0
 
     def as_candidate(rng: CharacterRange | None) -> Candidate | None:
         if rng is None:

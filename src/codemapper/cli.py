@@ -2,7 +2,8 @@
 
 Coordinates are 1-based with an inclusive end column, matching the library's
 range convention. Exit codes: 0 success, 2 region-resolution failure,
-3 repository errors, 64 usage errors, 65 dataset parse errors.
+3 repository errors, 64 usage errors, 65 dataset parse errors, 70 internal
+errors (git output codemapper cannot read).
 """
 
 import argparse
@@ -10,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from codemapper.diffparse import MalformedDiff
 from codemapper.evaluation import (
     DatasetError,
     EvalReport,
@@ -32,6 +34,7 @@ from codemapper.selector import SelectionConfig
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,6 +155,9 @@ def cmd_map(args) -> int:
             make_range(args.start_line, args.start_col, args.end_line, args.end_col),
         )
         result = map_region(args.repo, source, args.target_commit, config)
+    except MalformedDiff as exc:
+        print(f"codemapper: internal error: cannot read git output: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     except (InvalidRange, OutOfBounds, NotFound, ValueError) as exc:
         print(f"codemapper: cannot resolve source region: {exc}", file=sys.stderr)
         return 2

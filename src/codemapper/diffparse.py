@@ -69,14 +69,6 @@ class FragmentLine:
             f.text for f in self.fragments if f.kind is not FragmentKind.DELETED
         )
 
-    @property
-    def has_delete(self) -> bool:
-        return any(f.kind is FragmentKind.DELETED for f in self.fragments)
-
-    @property
-    def has_add(self) -> bool:
-        return any(f.kind is FragmentKind.ADDED for f in self.fragments)
-
 
 @dataclass(frozen=True)
 class Hunk:

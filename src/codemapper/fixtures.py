@@ -19,6 +19,7 @@ from codemapper.regions import (
     AbsInterval,
     CharacterRange,
     Region,
+    line_text,
     range_of_interval,
 )
 
@@ -34,8 +35,7 @@ def span_of(text: str, needle: str, occurrence: int = 1) -> CharacterRange:
 
 
 def line_span(text: str, first: int, last: int) -> CharacterRange:
-    lines = text.split("\n")
-    return CharacterRange(first, 1, last, len(lines[last - 1]))
+    return CharacterRange(first, 1, last, len(line_text(text, last)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,18 @@ WORD_DIFF_REGEX = "[[:alnum:]_]+|[^[:space:]]"
 DIFF_ISOLATION = ("--no-ext-diff", "--no-textconv")
 
 
+def _configless_env() -> dict[str, str]:
+    """The caller's environment without its system, global or
+    environment-passed git config.
+
+    Config such as diff.interHunkContext reshapes the hunks of `diff
+    --no-index`, so diffs run without it. Repository commands keep the
+    caller's config, because safe.directory lives there.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
+    return {**env, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull}
+
+
 class RepoError(RuntimeError):
     """Git invocation failed or the repository is unusable."""
 
@@ -79,27 +91,6 @@ class RawDiffReport:
     source_file: str
     target_file: str
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.text
-
-
-class FileDeleted:
-    """Marker: the file has no counterpart at the target commit."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FILE_DELETED"
-
-
-FILE_DELETED = FileDeleted()
-
 
 def git_executable(git_bin: str | None) -> str:
     """The git to run: `git_bin`, else $CODEMAPPER_GIT, else `git` on PATH."""
@@ -114,11 +105,12 @@ class GitGateway:
         self.git = git_executable(git_bin)
         self._rev_cache: dict[str, str] = {}
 
-    def _run(self, args, *, ok=(0,), cwd=None) -> subprocess.CompletedProcess:
+    def _run(self, args, *, ok=(0,), cwd=None, env=None) -> subprocess.CompletedProcess:
         try:
             proc = subprocess.run(
                 [self.git, *args],
                 cwd=cwd or self.repo,
+                env=env,
                 capture_output=True,
             )
         except (OSError, FileNotFoundError) as exc:
@@ -161,7 +153,7 @@ class GitGateway:
 
     def resolve_target_file(self, source_commit: str, source_file: str, target_commit: str):
         """Path of the same logical file at `target_commit`, following
-        renames in either time direction; FILE_DELETED if it has none."""
+        renames in either time direction; None if it has none."""
         src = self.rev_parse(source_commit)
         tgt = self.rev_parse(target_commit)
         if self.file_exists(tgt, source_file):
@@ -172,7 +164,7 @@ class GitGateway:
         ):
             if name and self.file_exists(tgt, name):
                 return name
-        return FILE_DELETED
+        return None
 
     def _is_ancestor(self, ancestor: str, descendant: str) -> bool:
         proc = self._run(["merge-base", "--is-ancestor", ancestor, descendant], ok=(0, 1))
@@ -215,26 +207,6 @@ class GitGateway:
 
     # -- diff reports --------------------------------------------------------
 
-    def compute_diff_reports(
-        self,
-        source_commit: str,
-        target_commit: str,
-        source_file: str,
-        target_file: str,
-        configs=ALL_CONFIGS,
-        context_lines: int = 0,
-    ) -> list[RawDiffReport]:
-        source_text = self.file_content(source_commit, source_file)
-        target_text = self.file_content(target_commit, target_file)
-        return self.diff_texts(
-            source_text,
-            target_text,
-            configs=configs,
-            source_file=source_file,
-            target_file=target_file,
-            context_lines=context_lines,
-        )
-
     def diff_texts(
         self,
         source_text: str,
@@ -253,6 +225,7 @@ class GitGateway:
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
+        env = _configless_env()
         reports: list[RawDiffReport] = []
         seen: set[str] = set()
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:
@@ -274,7 +247,7 @@ class GitGateway:
                     args += ["--word-diff=porcelain", f"--word-diff-regex={WORD_DIFF_REGEX}"]
                 args += ["--", "a", "b"]
                 try:
-                    proc = self._run(args, ok=(0, 1), cwd=tmp_path)
+                    proc = self._run(args, ok=(0, 1), cwd=tmp_path, env=env)
                 except RepoError as exc:
                     raise DiffToolFailure(str(exc)) from exc
                 if proc.returncode == 0:

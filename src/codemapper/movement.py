@@ -11,7 +11,7 @@ from enum import Enum
 
 from codemapper.candidates import Candidate, Origin
 from codemapper.diffparse import OpKind
-from codemapper.regions import CharacterRange, Region
+from codemapper.regions import CharacterRange, Region, line_count, line_text
 
 
 class MovementKind(Enum):
@@ -39,22 +39,21 @@ def detect_movements(
     target_file: str,
     target_commit: str,
 ) -> list[Candidate]:
-    source_lines = source_text.split("\n")
-    if source_range.l2 > len(source_lines):
+    if source_range.l2 > line_count(source_text):
         return []
     if not region_fully_deleted(source_range, hunks):
         return []
 
-    block = source_lines[source_range.l1 - 1 : source_range.l2]
+    block = _lines(source_text, source_range.l1, source_range.l2)
     stripped_block = [line.strip() for line in block]
-    target_lines = target_text.split("\n")
+    target_count = line_count(target_text)
     size = len(block)
 
     candidates: list[Candidate] = []
     for hunk in hunks:
-        if hunk.target_is_empty or hunk.target_end > len(target_lines):
+        if hunk.target_is_empty or hunk.target_end > target_count:
             continue
-        added = target_lines[hunk.target_start - 1 : hunk.target_end]
+        added = _lines(target_text, hunk.target_start, hunk.target_end)
         for offset in range(len(added) - size + 1):
             window = added[offset : offset + size]
             line = hunk.target_start + offset
@@ -75,6 +74,10 @@ def detect_movements(
                     Candidate(Region(target_commit, target_file, rng), Origin.MOVEMENT)
                 )
     return candidates
+
+
+def _lines(text: str, first: int, last: int) -> list[str]:
+    return [line_text(text, k) for k in range(first, last + 1)]
 
 
 def _whitespace_shifted_range(block, window, first_line, source_range):

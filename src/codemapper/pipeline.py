@@ -10,7 +10,7 @@ from codemapper.candidates import (
     extract_diff_candidates,
 )
 from codemapper.diffparse import parse_line_diff, parse_word_diff
-from codemapper.gitio import FILE_DELETED, GitGateway, Granularity
+from codemapper.gitio import GitGateway, Granularity
 from codemapper.movement import detect_movements
 from codemapper.regions import DELETED, Region, Target, extract_text, to_abs_interval
 from codemapper.search import search_text
@@ -67,7 +67,7 @@ def map_region(
 
     started = time.perf_counter()
     resolved = gateway.resolve_target_file(source_sha, source.file, target_sha)
-    if resolved is FILE_DELETED:
+    if resolved is None:
         now = time.perf_counter()
         return MappingResult(
             source=source,

@@ -5,6 +5,8 @@ arithmetic; a newline counts as one character. Columns count Unicode code
 points, not bytes.
 """
 
+import functools
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -109,23 +111,43 @@ def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def line_starts(text: str) -> list[int]:
-    """Offset of the first character of each 1-based line of `text`."""
-    starts = [0]
+@functools.lru_cache(maxsize=2)
+def _starts(text: str) -> array:
+    """Offset of the first character of each 1-based line of `text`, then
+    len(text) + 1, so line k spans starts[k - 1] .. starts[k] - 1.
+
+    One mapping touches two texts, source and target; two entries keep both
+    indexed while holding only offsets, never line strings.
+    """
+    starts = array("q", [0])
     pos = text.find("\n")
     while pos != -1:
         starts.append(pos + 1)
         pos = text.find("\n", pos + 1)
+    starts.append(len(text) + 1)
     return starts
 
 
-def _check_endpoint(lines: list[str], line: int, col: int, what: str) -> None:
-    if line > len(lines):
-        raise OutOfBounds(f"{what} line {line} beyond file of {len(lines)} lines")
-    if col > len(lines[line - 1]):
-        raise OutOfBounds(
-            f"{what} column {col} beyond line {line} of length {len(lines[line - 1])}"
-        )
+def line_count(text: str) -> int:
+    """Number of lines, counted as len(text.split("\\n")) counts them."""
+    return len(_starts(text)) - 1
+
+
+def line_text(text: str, k: int) -> str:
+    """Line k (1-based) of `text`, without its newline."""
+    if k < 1:
+        raise IndexError(f"line {k} out of range")
+    starts = _starts(text)
+    return text[starts[k - 1] : starts[k] - 1]
+
+
+def _check_endpoint(starts: array, line: int, col: int, what: str) -> None:
+    count = len(starts) - 1
+    if line > count:
+        raise OutOfBounds(f"{what} line {line} beyond file of {count} lines")
+    length = starts[line] - starts[line - 1] - 1
+    if col > length:
+        raise OutOfBounds(f"{what} column {col} beyond line {line} of length {length}")
 
 
 def to_abs_interval(file_text: str, rng: CharacterRange) -> AbsInterval:
@@ -134,10 +156,9 @@ def to_abs_interval(file_text: str, rng: CharacterRange) -> AbsInterval:
     Both endpoints must land on real characters of their lines; newlines are
     covered implicitly by multi-line spans.
     """
-    lines = file_text.split("\n")
-    _check_endpoint(lines, rng.l1, rng.c1, "start")
-    _check_endpoint(lines, rng.l2, rng.c2, "end")
-    starts = line_starts(file_text)
+    starts = _starts(file_text)
+    _check_endpoint(starts, rng.l1, rng.c1, "start")
+    _check_endpoint(starts, rng.l2, rng.c2, "end")
     return AbsInterval(starts[rng.l1 - 1] + rng.c1 - 1, starts[rng.l2 - 1] + rng.c2)
 
 
@@ -154,7 +175,7 @@ def position_of_offset(file_text: str, offset: int) -> tuple[int, int]:
     """
     if offset < 0 or offset >= len(file_text):
         raise OutOfBounds(f"offset {offset} outside text of length {len(file_text)}")
-    starts = line_starts(file_text)
+    starts = _starts(file_text)
     line = bisect_right(starts, offset)
     return line, offset - starts[line - 1] + 1
 
@@ -163,7 +184,6 @@ def range_of_interval(file_text: str, interval: AbsInterval) -> CharacterRange:
     """Inverse of to_abs_interval; both endpoints must be non-newline chars."""
     l1, c1 = position_of_offset(file_text, interval.start)
     l2, c2 = position_of_offset(file_text, interval.end - 1)
-    lines = file_text.split("\n")
-    if c1 > len(lines[l1 - 1]) or c2 > len(lines[l2 - 1]):
+    if "\n" in (file_text[interval.start], file_text[interval.end - 1]):
         raise OutOfBounds("interval endpoint lands on a newline")
     return CharacterRange(l1, c1, l2, c2)

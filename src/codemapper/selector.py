@@ -9,8 +9,14 @@ relocated code usually has different surroundings.
 from dataclasses import dataclass, replace
 
 from codemapper.candidates import ORIGIN_PRIORITY, Candidate
-from codemapper.diffparse import Hunk
-from codemapper.regions import DELETED, CharacterRange, Target, extract_text
+from codemapper.regions import (
+    DELETED,
+    CharacterRange,
+    Target,
+    extract_text,
+    line_count,
+    line_text,
+)
 from codemapper.similarity import levenshtein_similarity
 
 
@@ -46,28 +52,24 @@ def changed_lines(hunks, side: str) -> frozenset[int]:
     )
 
 
-def _real_line_count(text: str, lines: list[str]) -> int:
-    # split() leaves a trailing "" pseudo-line when the text ends in \n
-    return len(lines) - 1 if text.endswith("\n") and len(lines) > 1 else len(lines)
-
-
 def _flanking_unchanged(
     file_text: str, first: int, last: int, changed: frozenset[int], n: int
 ) -> tuple[list[str], list[str]]:
-    lines = file_text.split("\n")
-    count = _real_line_count(file_text, lines)
+    count = line_count(file_text)
+    if file_text.endswith("\n"):
+        count -= 1  # the empty pseudo-line after a final newline
     above: list[str] = []
     line = first - 1
     while line >= 1 and len(above) < n:
         if line not in changed:
-            above.append(lines[line - 1])
+            above.append(line_text(file_text, line))
         line -= 1
     above.reverse()
     below: list[str] = []
     line = last + 1
     while line <= count and len(below) < n:
         if line not in changed:
-            below.append(lines[line - 1])
+            below.append(line_text(file_text, line))
         line += 1
     return above, below
 
@@ -94,14 +96,6 @@ def surrounding_context(
         file_text, first, last, changed_lines(hunks, side), n
     )
     return "\n".join(above + below)
-
-
-def _deletion_site_context(hunk: Hunk, target_text: str, hunks, n: int) -> str:
-    # For an empty target block, target_end/target_start delimit the
-    # insertion point, so the flanks around them are the deletion site.
-    return surrounding_context(
-        hunk.target_start, hunk.target_end, target_text, hunks, n, side="target"
-    )
 
 
 def _rank_key(candidate: Candidate):
@@ -145,9 +139,14 @@ def select_target(
             if n == 0:
                 score = 0.0
             else:
+                # For an empty target block, target_start/target_end delimit
+                # the insertion point, so the flanks around them are the
+                # deletion site.
                 hunk = cand.source_hunk
                 site = (
-                    _deletion_site_context(hunk, target_text, hunks, n)
+                    surrounding_context(
+                        hunk.target_start, hunk.target_end, target_text, hunks, n, "target"
+                    )
                     if hunk is not None
                     else ""
                 )

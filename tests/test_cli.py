@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from codemapper import cli
 from codemapper.cli import main
+from codemapper.diffparse import MalformedDiff
 from codemapper.fixtures import build_corpus
 
 
@@ -118,6 +120,18 @@ class TestCmdMap:
         )
         assert code == 3
         assert "repository error" in err
+
+    def test_unreadable_git_output_is_70(self, repo_builder, capsys, monkeypatch):
+        sha = repo_builder.commit({"f.py": BASE})
+
+        def fail(*args, **kwargs):
+            raise MalformedDiff("bad hunk header: '@@ nonsense'")
+
+        monkeypatch.setattr(cli, "map_region", fail)
+        code, _, err = run_cli(capsys, *map_args(repo_builder.path, sha, sha))
+        assert code == 70
+        assert "internal error" in err
+        assert "cannot resolve source region" not in err
 
     def test_json_output_is_deterministic(self, repo_builder, capsys):
         first = repo_builder.commit({"f.py": BASE})

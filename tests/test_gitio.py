@@ -5,7 +5,6 @@ import pytest
 from codemapper.diffparse import parse_line_diff
 from codemapper.gitio import (
     ALL_CONFIGS,
-    FILE_DELETED,
     Algorithm,
     BinaryFile,
     DiffConfig,
@@ -82,7 +81,7 @@ class TestResolveTargetFile:
         repo_builder.commit({"a.py": None})
         third = repo_builder.commit({"keep.py": "x = 2\n"})
         gateway = GitGateway(repo_builder.path)
-        assert gateway.resolve_target_file(first, "a.py", third) is FILE_DELETED
+        assert gateway.resolve_target_file(first, "a.py", third) is None
 
 
 class TestDiffReports:
@@ -142,5 +141,52 @@ class TestDiffReports:
         first = repo_builder.commit({"f.txt": BASE})
         second = repo_builder.commit({"f.txt": BASE.replace("line 9", "line nine")})
         gateway = GitGateway(repo_builder.path)
-        reports = gateway.compute_diff_reports(first, second, "f.txt", "f.txt")
+        reports = gateway.diff_texts(
+            gateway.file_content(first, "f.txt"),
+            gateway.file_content(second, "f.txt"),
+            source_file="f.txt",
+            target_file="f.txt",
+        )
         assert reports and all(r.source_file == "f.txt" for r in reports)
+        line_reports = [r for r in reports if r.config.granularity is Granularity.LINE]
+        assert [h.source_start for h in parse_line_diff(line_reports[0])] == [9]
+
+
+def _clean_git_config(monkeypatch):
+    for key in ("GIT_CONFIG_GLOBAL", "GIT_CONFIG_PARAMETERS", "GIT_CONFIG_COUNT"):
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+
+
+def _myers_line_hunks(gateway, source, target):
+    myers_line = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
+    report = gateway.diff_texts(source, target, configs=myers_line)[0]
+    return [
+        (h.source_start, h.source_end, h.target_start, h.target_end)
+        for h in parse_line_diff(report)
+    ]
+
+
+class TestDiffIgnoresCallerConfig:
+    # Two one-line edits four lines apart: git merges them into one hunk
+    # when diff.interHunkContext allows.
+    EDITED = BASE.replace("line 5", "line five").replace("line 9", "line nine")
+
+    def test_global_config_file(self, repo_builder, tmp_path, monkeypatch):
+        _clean_git_config(monkeypatch)
+        gateway = GitGateway(repo_builder.path)
+        clean = _myers_line_hunks(gateway, BASE, self.EDITED)
+        assert clean == [(5, 5, 5, 5), (9, 9, 9, 9)]
+        config = tmp_path / "gitconfig"
+        config.write_text("[diff]\n\tinterHunkContext = 10\n", encoding="utf-8")
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+        assert _myers_line_hunks(gateway, BASE, self.EDITED) == clean
+
+    def test_config_passed_in_environment(self, repo_builder, monkeypatch):
+        _clean_git_config(monkeypatch)
+        gateway = GitGateway(repo_builder.path)
+        clean = _myers_line_hunks(gateway, BASE, self.EDITED)
+        monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+        monkeypatch.setenv("GIT_CONFIG_KEY_0", "diff.interHunkContext")
+        monkeypatch.setenv("GIT_CONFIG_VALUE_0", "10")
+        assert _myers_line_hunks(gateway, BASE, self.EDITED) == clean

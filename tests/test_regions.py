@@ -13,7 +13,8 @@ from codemapper.regions import (
     OutOfBounds,
     Region,
     extract_text,
-    line_starts,
+    line_count,
+    line_text,
     make_range,
     normalize_newlines,
     position_of_offset,
@@ -155,9 +156,27 @@ def test_normalize_newlines():
     assert normalize_newlines("a\r\nb\rc\n") == "a\nb\nc\n"
 
 
-def test_line_starts():
-    assert line_starts("ab\ncd\n") == [0, 3, 6]
-    assert line_starts("") == [0]
+@given(
+    st.lists(
+        st.text(alphabet="ab\n\U0001F600", max_size=40), min_size=3, max_size=3, unique=True
+    )
+)
+def test_line_index_matches_split_across_cache_evictions(texts):
+    # A fourth text equal to the first but built separately: the 2-entry
+    # cache must treat it as the same text, whether it hits or evicts.
+    texts.append("".join(list(texts[0])))
+    for text in texts + texts[::-1]:
+        lines = text.split("\n")
+        assert line_count(text) == len(lines)
+        assert [line_text(text, k) for k in range(1, len(lines) + 1)] == lines
+        with pytest.raises(IndexError):
+            line_text(text, len(lines) + 1)
+        with pytest.raises(IndexError):
+            line_text(text, 0)
+        for offset, char in enumerate(text):
+            if char != "\n":
+                interval = AbsInterval(offset, offset + 1)
+                assert to_abs_interval(text, range_of_interval(text, interval)) == interval
 
 
 class TestRegion:
