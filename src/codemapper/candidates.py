@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from codemapper.diffparse import FragmentKind, FragmentLine, Hunk
-from codemapper.gitio import DiffConfig
+from codemapper.gitio import Algorithm
 from codemapper.regions import (
     DELETED,
     CharacterRange,
@@ -69,7 +69,7 @@ class Candidate:
 class ParsedReport:
     """One deduplicated diff report, parsed into hunks."""
 
-    config: DiffConfig
+    algorithm: Algorithm
     hunks: tuple[Hunk, ...]
 
 
@@ -397,10 +397,9 @@ def extract_diff_candidates(
 ) -> list[Candidate]:
     """Phase-1 diff candidates from all deduplicated reports.
 
-    Word-level fragment lines are indexed per algorithm so that candidates
-    extracted from a line-level report can be refined with the matching
-    word-level report's fragments. No reports at all means the contents are
-    identical, so the region maps onto itself.
+    Each report's candidates are refined with the word fragments of its own
+    hunks. No reports at all means the contents are identical, so the region
+    maps onto itself.
     """
     if not reports:
         identity = _clamped(target_text, *source_range.as_tuple())
@@ -408,19 +407,9 @@ def extract_diff_candidates(
             return []
         return [Candidate(Region(target_commit, target_file, identity), Origin.DIFF)]
 
-    word_fragments: dict = {}
-    for report in reports:
-        flat = tuple(
-            fl for hunk in report.hunks for fl in (hunk.line_fragments or ())
-        )
-        if flat and report.config.algorithm not in word_fragments:
-            word_fragments[report.config.algorithm] = flat
-
     out: list[Candidate] = []
     for report in reports:
-        frags = word_fragments.get(report.config.algorithm)
-        if frags is None and word_fragments:
-            frags = next(iter(word_fragments.values()))
+        fragments = tuple(fl for hunk in report.hunks for fl in hunk.line_fragments)
         out.extend(
             _extract_from_report(
                 report,
@@ -429,7 +418,7 @@ def extract_diff_candidates(
                 target_text,
                 target_file,
                 target_commit,
-                frags or (),
+                fragments,
                 refine,
             )
         )

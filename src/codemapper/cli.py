@@ -69,13 +69,6 @@ def _build_parser() -> _Parser:
     eval_cmd = sub.add_parser("eval", help="score a dataset of mapping tasks")
     eval_cmd.add_argument("--dataset", required=True)
     eval_cmd.add_argument("--context", type=int, default=15, metavar="N")
-    eval_cmd.add_argument(
-        "--diff-context",
-        type=int,
-        default=0,
-        metavar="N",
-        help="context lines fed to git diff (sensitivity probe; default 0)",
-    )
     eval_cmd.add_argument("--ablation", action="store_true", help="one run per disabled component")
     eval_cmd.add_argument(
         "--context-sweep",
@@ -196,15 +189,17 @@ def cmd_eval(args) -> int:
         return EX_DATAERR
 
     base_dir = Path(args.dataset).resolve().parent
-    config = SelectionConfig(
-        context_lines=args.context, diff_context_lines=args.diff_context
-    )
-    report = evaluate(records, config, jobs=args.jobs, base_dir=base_dir)
+    config = SelectionConfig(context_lines=args.context)
+    if args.ablation:
+        # The matrix's "full" entry is the plain evaluation; run it once.
+        matrix = ablation_matrix(records, config, jobs=args.jobs, base_dir=base_dir)
+        report = matrix["full"]
+    else:
+        report = evaluate(records, config, jobs=args.jobs, base_dir=base_dir)
     output: dict = {"dataset": str(args.dataset), "report": report.to_json()}
     lines = [_aggregates_text("full", report)]
 
     if args.ablation:
-        matrix = ablation_matrix(records, config, jobs=args.jobs, base_dir=base_dir)
         output["ablation"] = {name: rep.to_json() for name, rep in matrix.items()}
         lines += [_aggregates_text(name, rep) for name, rep in matrix.items() if name != "full"]
 

@@ -1,8 +1,8 @@
-"""Parse raw line-level and porcelain word-level diff output into hunks.
+"""Parse porcelain word-level diff output into hunks.
 
-Accepts exactly the formats produced by the git gateway's pinned invocation
-flags (--unified=0, optionally --word-diff=porcelain); captured samples live
-in docs/diff-formats.md.
+Accepts exactly the format produced by the git gateway's pinned invocation
+flags (--unified=0 --word-diff=porcelain); a captured sample lives in
+docs/diff-formats.md.
 """
 
 import re
@@ -17,24 +17,10 @@ class MalformedDiff(ValueError):
 HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
-class OpKind(Enum):
-    DELETE = "delete"
-    ADD = "add"
-    UNCHANGED = "unchanged"
-
-
 class FragmentKind(Enum):
     DELETED = "deleted"
     ADDED = "added"
     UNCHANGED = "unchanged"
-
-
-@dataclass(frozen=True)
-class LineOp:
-    kind: OpKind
-    text: str
-    source_line: int | None = None
-    target_line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -78,8 +64,7 @@ class Hunk:
     source_end: int
     target_start: int
     target_end: int
-    ops: tuple[LineOp, ...] = ()
-    line_fragments: tuple[FragmentLine, ...] | None = None
+    line_fragments: tuple[FragmentLine, ...] = ()
 
     @property
     def source_size(self) -> int:
@@ -119,45 +104,6 @@ def _parse_header(line: str) -> tuple[int, int, int, int]:
     source_start, source_end = (s, s + n - 1) if n else (s + 1, s)
     target_start, target_end = (t, t + m - 1) if m else (t + 1, t)
     return source_start, source_end, target_start, target_end
-
-
-def parse_line_diff(report) -> list[Hunk]:
-    """Hunks of a line-level report, ascending by source position."""
-    text = _report_text(report)
-    hunks: list[Hunk] = []
-    bounds = None
-    ops: list[LineOp] = []
-    src = tgt = 0
-
-    def close():
-        if bounds is not None:
-            hunks.append(Hunk(*bounds, ops=tuple(ops)))
-
-    for line in text.splitlines():
-        if line.startswith("@@"):
-            close()
-            bounds = _parse_header(line)
-            ops = []
-            src, tgt = bounds[0], bounds[2]
-        elif bounds is None:
-            continue  # file header
-        elif line.startswith("-"):
-            ops.append(LineOp(OpKind.DELETE, line[1:], source_line=src))
-            src += 1
-        elif line.startswith("+"):
-            ops.append(LineOp(OpKind.ADD, line[1:], target_line=tgt))
-            tgt += 1
-        elif line.startswith(" "):
-            ops.append(LineOp(OpKind.UNCHANGED, line[1:], source_line=src, target_line=tgt))
-            src += 1
-            tgt += 1
-        elif line.startswith("\\"):
-            continue  # "\ No newline at end of file"
-        else:
-            raise MalformedDiff(f"unexpected diff line: {line!r}")
-    close()
-    hunks.sort(key=lambda h: (h.source_start, h.target_start))
-    return hunks
 
 
 _FRAGMENT_PREFIX = {

@@ -1,9 +1,11 @@
 """All interaction with a git repository.
 
-Content retrieval, diff-report generation under four algorithms at line and
-word granularity, and rename tracking of the containing file. Requires a
-`git` executable on PATH (override with the CODEMAPPER_GIT environment
-variable or the `git_bin` argument).
+Content retrieval, word-level diff reports under four algorithms, and
+rename tracking of the containing file. A word report's @@ headers are
+those of the plain line diff, so one diff per algorithm gives both the line
+hunks and their intra-line fragments. Requires a `git` executable on PATH
+(override with the CODEMAPPER_GIT environment variable or the `git_bin`
+argument).
 """
 
 import os
@@ -28,16 +30,23 @@ WORD_DIFF_REGEX = "[[:alnum:]_]+|[^[:space:]]"
 DIFF_ISOLATION = ("--no-ext-diff", "--no-textconv")
 
 
-def _configless_env() -> dict[str, str]:
+def _diff_env() -> dict[str, str]:
     """The caller's environment without its system, global or
-    environment-passed git config.
+    environment-passed git config, and with a pinned UTF-8 locale.
 
     Config such as diff.interHunkContext reshapes the hunks of `diff
-    --no-index`, so diffs run without it. Repository commands keep the
-    caller's config, because safe.directory lives there.
+    --no-index`, so diffs run without it. Under a byte locale the word
+    regex's [[:alnum:]] stops at non-ASCII letters and splits identifiers
+    such as `naïve_value`. Repository commands keep the caller's config,
+    because safe.directory lives there.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
-    return {**env, "GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull}
+    return {
+        **env,
+        "GIT_CONFIG_NOSYSTEM": "1",
+        "GIT_CONFIG_GLOBAL": os.devnull,
+        "LC_ALL": "C.UTF-8",
+    }
 
 
 class RepoError(RuntimeError):
@@ -63,33 +72,13 @@ class Algorithm(str, Enum):
     HISTOGRAM = "histogram"
 
 
-class Granularity(str, Enum):
-    LINE = "line"
-    WORD = "word"
-
-
-@dataclass(frozen=True)
-class DiffConfig:
-    algorithm: Algorithm
-    granularity: Granularity
-
-    def label(self) -> str:
-        return f"{self.algorithm.value}-{self.granularity.value}"
-
-
-ALL_CONFIGS: tuple[DiffConfig, ...] = tuple(
-    DiffConfig(algorithm, granularity)
-    for granularity in (Granularity.LINE, Granularity.WORD)
-    for algorithm in Algorithm
-)
+ALL_CONFIGS: tuple[Algorithm, ...] = tuple(Algorithm)
 
 
 @dataclass(frozen=True)
 class RawDiffReport:
-    config: DiffConfig
+    algorithm: Algorithm
     text: str
-    source_file: str
-    target_file: str
 
 
 def git_executable(git_bin: str | None) -> str:
@@ -208,53 +197,52 @@ class GitGateway:
     # -- diff reports --------------------------------------------------------
 
     def diff_texts(
-        self,
-        source_text: str,
-        target_text: str,
-        configs=ALL_CONFIGS,
-        source_file: str = "a",
-        target_file: str = "b",
-        context_lines: int = 0,
+        self, source_text: str, target_text: str, algorithms=ALL_CONFIGS
     ) -> list[RawDiffReport]:
-        """Diff two normalized texts under each config; deduplicated by text.
+        """Porcelain word diff of two normalized texts under each algorithm;
+        deduplicated by text.
 
-        Identical texts yield no reports. By default hunks carry no context
-        lines, so line numbers come straight from the @@ headers; a nonzero
-        `context_lines` pads hunk blocks and is exposed only to probe the
-        pipeline's sensitivity to that setting.
+        Identical texts yield no reports. Hunks carry no context lines, so
+        line numbers come straight from the @@ headers. Exit status 1 with
+        no output is a git failure, not an empty diff.
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
-        env = _configless_env()
+        env = _diff_env()
         reports: list[RawDiffReport] = []
         seen: set[str] = set()
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:
             tmp_path = Path(tmp)
-            path_a = tmp_path / "a"
-            path_b = tmp_path / "b"
-            path_a.write_text(source_text, encoding="utf-8")
-            path_b.write_text(target_text, encoding="utf-8")
-            for config in configs:
+            (tmp_path / "a").write_text(source_text, encoding="utf-8")
+            (tmp_path / "b").write_text(target_text, encoding="utf-8")
+            for algorithm in algorithms:
                 args = [
                     "diff",
                     *DIFF_ISOLATION,
                     "--no-index",
                     "--no-color",
-                    f"--unified={context_lines}",
-                    f"--diff-algorithm={config.algorithm.value}",
+                    "--unified=0",
+                    f"--diff-algorithm={algorithm.value}",
+                    "--word-diff=porcelain",
+                    f"--word-diff-regex={WORD_DIFF_REGEX}",
+                    "--",
+                    "a",
+                    "b",
                 ]
-                if config.granularity is Granularity.WORD:
-                    args += ["--word-diff=porcelain", f"--word-diff-regex={WORD_DIFF_REGEX}"]
-                args += ["--", "a", "b"]
                 try:
                     proc = self._run(args, ok=(0, 1), cwd=tmp_path, env=env)
                 except RepoError as exc:
                     raise DiffToolFailure(str(exc)) from exc
                 if proc.returncode == 0:
                     continue
+                if not proc.stdout:
+                    raise DiffToolFailure(
+                        f"git diff --diff-algorithm={algorithm.value} reported a "
+                        "difference but printed no diff"
+                    )
                 text = proc.stdout.decode("utf-8", errors="replace")
                 if text in seen:
                     continue
                 seen.add(text)
-                reports.append(RawDiffReport(config, text, source_file, target_file))
+                reports.append(RawDiffReport(algorithm, text))
         return reports

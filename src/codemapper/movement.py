@@ -1,16 +1,16 @@
-"""Detection of cut-and-paste relocations that line diffs report as
+"""Detection of cut-and-paste relocations that diffs report as
 delete-plus-add.
 
-A region qualifies only when the line-level diff marks every one of its
-lines as deleted; candidates come from hunks whose added lines contain the
-region's lines as a consecutive block, either verbatim (vertical movement)
-or equal up to leading/trailing whitespace (horizontal movement).
+A region qualifies only when the diff deletes every one of its lines, i.e.
+each lies in some hunk's source block; candidates come from hunks whose
+added lines contain the region's lines as a consecutive block, either
+verbatim (vertical movement) or equal up to leading/trailing whitespace
+(horizontal movement).
 """
 
 from enum import Enum
 
 from codemapper.candidates import Candidate, Origin
-from codemapper.diffparse import OpKind
 from codemapper.regions import CharacterRange, Region, line_count, line_text
 
 
@@ -20,12 +20,8 @@ class MovementKind(Enum):
 
 
 def region_fully_deleted(source_range, hunks) -> bool:
-    deleted = {
-        op.source_line
-        for hunk in hunks
-        for op in hunk.ops
-        if op.kind is OpKind.DELETE
-    }
+    # Hunks carry no context lines, so every source line in one is deleted.
+    deleted = {line for hunk in hunks for line in hunk.source_lines()}
     return all(
         line in deleted for line in range(source_range.l1, source_range.l2 + 1)
     )

@@ -9,8 +9,8 @@ from codemapper.candidates import (
     dedup_candidates,
     extract_diff_candidates,
 )
-from codemapper.diffparse import parse_line_diff, parse_word_diff
-from codemapper.gitio import GitGateway, Granularity
+from codemapper.diffparse import parse_word_diff
+from codemapper.gitio import GitGateway
 from codemapper.movement import detect_movements
 from codemapper.regions import DELETED, Region, Target, extract_text, to_abs_interval
 from codemapper.search import search_text
@@ -57,6 +57,7 @@ def map_region(
     text search; phase 2 picks the most similar one. The result's candidate
     list is ranked best-first with similarities filled in.
     """
+    started = time.perf_counter()
     config = config or SelectionConfig()
     gateway = GitGateway(repo, git_bin)
     source_sha = gateway.rev_parse(source.commit)
@@ -65,7 +66,6 @@ def map_region(
     source_text = gateway.file_content(source_sha, source.file)
     to_abs_interval(source_text, source.range)  # fail fast on a bad region
 
-    started = time.perf_counter()
     resolved = gateway.resolve_target_file(source_sha, source.file, target_sha)
     if resolved is None:
         now = time.perf_counter()
@@ -80,25 +80,10 @@ def map_region(
         )
 
     target_text = gateway.file_content(target_sha, resolved)
-    reports = gateway.diff_texts(
-        source_text,
-        target_text,
-        source_file=source.file,
-        target_file=resolved,
-        context_lines=config.diff_context_lines,
-    )
     parsed = tuple(
-        ParsedReport(
-            report.config,
-            tuple(
-                parse_line_diff(report)
-                if report.config.granularity is Granularity.LINE
-                else parse_word_diff(report)
-            ),
-        )
-        for report in reports
+        ParsedReport(report.algorithm, tuple(parse_word_diff(report)))
+        for report in gateway.diff_texts(source_text, target_text)
     )
-    line_reports = [p for p in parsed if p.config.granularity is Granularity.LINE]
 
     candidates: list[Candidate] = []
     if config.use_diff:
@@ -114,7 +99,7 @@ def map_region(
             )
         )
     if config.use_movement:
-        for report in line_reports:
+        for report in parsed:
             candidates.extend(
                 detect_movements(
                     source.range,
@@ -137,7 +122,7 @@ def map_region(
     candidates = dedup_candidates(candidates)
     phase1_done = time.perf_counter()
 
-    reference_hunks = line_reports[0].hunks if line_reports else ()
+    reference_hunks = parsed[0].hunks if parsed else ()
     target, ranked = select_target(
         source.range, source_text, candidates, config, reference_hunks, target_text
     )

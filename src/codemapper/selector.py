@@ -2,7 +2,7 @@
 select the target region.
 
 Context is up to N unchanged lines above and below a region, judged against
-the line-level diff; movement candidates are scored without context because
+the diff hunks; movement candidates are scored without context because
 relocated code usually has different surroundings.
 """
 
@@ -22,12 +22,7 @@ from codemapper.similarity import levenshtein_similarity
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Pipeline tuning knobs; every component toggle defaults to on.
-
-    `diff_context_lines` pads diff hunks with unchanged lines and exists
-    only to probe the pipeline's sensitivity to that setting; 0 keeps hunks
-    as pure change blocks.
-    """
+    """Pipeline tuning knobs; every component toggle defaults to on."""
 
     context_lines: int = 15
     use_diff: bool = True
@@ -35,7 +30,6 @@ class SelectionConfig:
     use_movement: bool = True
     use_search: bool = True
     use_context: bool = True
-    diff_context_lines: int = 0
 
     @property
     def effective_context(self) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from codemapper.candidates import ParsedReport, classify_overlap, extract_diff_candidates
 from codemapper.cli import main as cli_main
-from codemapper.diffparse import Hunk, parse_line_diff, parse_word_diff
+from codemapper.diffparse import Hunk, parse_word_diff
 from codemapper.evaluation import (
     ablation_matrix,
     char_distance,
@@ -21,7 +21,7 @@ from codemapper.evaluation import (
     overlap_metrics,
 )
 from codemapper.fixtures import build_corpus
-from codemapper.gitio import Algorithm, DiffConfig, GitGateway, Granularity
+from codemapper.gitio import Algorithm, GitGateway
 from codemapper.regions import (
     AbsInterval,
     Region,
@@ -31,11 +31,7 @@ from codemapper.regions import (
 )
 from codemapper.similarity import levenshtein_similarity
 
-LINE_MYERS = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
-LINE_AND_WORD_MYERS = (
-    DiffConfig(Algorithm.MYERS, Granularity.LINE),
-    DiffConfig(Algorithm.MYERS, Granularity.WORD),
-)
+MYERS = (Algorithm.MYERS,)
 
 FIGURE_CASES = {
     "moved_function": "exact",
@@ -199,12 +195,13 @@ def test_criterion_4_offset_accounting_oracle(tmp_path):
 
         source = "".join(l + "\n" for l in lines)
         target = "".join(l + "\n" for l in target_lines)
-        reports = gateway.diff_texts(source, target, configs=LINE_MYERS)
+        reports = gateway.diff_texts(source, target, algorithms=MYERS)
         parsed = tuple(
-            ParsedReport(r.config, tuple(parse_line_diff(r))) for r in reports
+            ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports
         )
+        # Unrefined, so the check covers the offset accounting alone.
         candidates = extract_diff_candidates(
-            parsed, region, source, target, "f", "c"
+            parsed, region, source, target, "f", "c", refine=False
         )
         texts = [
             extract_text(target, c.region.range) for c in candidates if not c.is_deleted
@@ -288,17 +285,9 @@ def test_criterion_5_refinement_oracle(tmp_path):
         source_line, target_line, region = _refinement_case(rng)
         source = source_line + "\n"
         target = target_line + "\n"
-        reports = gateway.diff_texts(source, target, configs=LINE_AND_WORD_MYERS)
+        reports = gateway.diff_texts(source, target, algorithms=MYERS)
         parsed = tuple(
-            ParsedReport(
-                r.config,
-                tuple(
-                    parse_line_diff(r)
-                    if r.config.granularity is Granularity.LINE
-                    else parse_word_diff(r)
-                ),
-            )
-            for r in reports
+            ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports
         )
         candidates = extract_diff_candidates(parsed, region, source, target, "f", "c")
         refined = next(

@@ -20,14 +20,12 @@ from codemapper.diffparse import (
     FragmentKind,
     FragmentLine,
     Hunk,
-    parse_line_diff,
     parse_word_diff,
 )
-from codemapper.gitio import Algorithm, DiffConfig, GitGateway, Granularity
+from codemapper.gitio import Algorithm, GitGateway
 from codemapper.regions import DELETED, Region, extract_text, make_range
 
-LINE_MYERS = DiffConfig(Algorithm.MYERS, Granularity.LINE)
-WORD_MYERS = DiffConfig(Algorithm.MYERS, Granularity.WORD)
+MYERS = (Algorithm.MYERS,)
 
 
 def hunk(hs, he, ts=1, te=1):
@@ -85,19 +83,9 @@ def gateway(tmp_path):
     return GitGateway(tmp_path)
 
 
-def run_extraction(gateway, source, target, rng, refine=True, configs=None):
-    reports = gateway.diff_texts(source, target, configs=configs or (LINE_MYERS, WORD_MYERS))
-    parsed = tuple(
-        ParsedReport(
-            r.config,
-            tuple(
-                parse_line_diff(r)
-                if r.config.granularity is Granularity.LINE
-                else parse_word_diff(r)
-            ),
-        )
-        for r in reports
-    )
+def run_extraction(gateway, source, target, rng, refine=True):
+    reports = gateway.diff_texts(source, target, algorithms=MYERS)
+    parsed = tuple(ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports)
     return extract_diff_candidates(parsed, rng, source, target, "f.py", "deadbeef", refine=refine)
 
 
@@ -233,7 +221,7 @@ class TestRefineDirect:
         # "aa bb cc" -> "aa XX cc" with the region covering "bb cc"
         source = "aa bb cc\n"
         target = "aa XX cc\n"
-        report = gateway.diff_texts(source, target, configs=(WORD_MYERS,))[0]
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         word_hunk = parse_word_diff(report)[0]
         coarse = make_range(1, 1, 1, 8)
         refined = refine_start(make_range(1, 4, 1, 8), word_hunk, coarse, word_hunk.line_fragments)
@@ -246,7 +234,7 @@ class TestRefineDirect:
         # must stop before ".values".
         source = "old.values\n"
         target = "updated.values\n"
-        report = gateway.diff_texts(source, target, configs=(WORD_MYERS,))[0]
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         word_hunk = parse_word_diff(report)[0]
         coarse = make_range(1, 1, 1, 14)
         rng = make_range(1, 1, 1, 3)
@@ -294,9 +282,8 @@ class TestOffsetAccountingOracle:
 
             source = lines_to_text(lines)
             target = lines_to_text(target_lines)
-            candidates = run_extraction(
-                gateway, source, target, region, configs=(LINE_MYERS,)
-            )
+            # Unrefined, so only the offset accounting places the block.
+            candidates = run_extraction(gateway, source, target, region, refine=False)
             extracted = [
                 extract_text(target, c.region.range)
                 for c in candidates

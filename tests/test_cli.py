@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from codemapper import cli
+from codemapper import cli, evaluation
 from codemapper.cli import main
 from codemapper.diffparse import MalformedDiff
 from codemapper.fixtures import build_corpus
@@ -220,3 +220,23 @@ class TestCmdEval:
         a = json.loads(out_a)["report"]["aggregates"]
         b = json.loads(out_b)["report"]["aggregates"]
         assert a == b
+
+    def test_ablation_evaluates_the_full_configuration_once(self, corpus, capsys, monkeypatch):
+        dataset = corpus / "first_two.jsonl"
+        lines = (corpus / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        dataset.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+        real = evaluation.evaluate_record
+        calls = []
+
+        def counting(record, config, *args, **kwargs):
+            calls.append(config)
+            return real(record, config, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_record", counting)
+        code, out, _ = run_cli(
+            capsys, "eval", "--dataset", str(dataset), "--format", "json", "--ablation"
+        )
+        assert code == 0
+        assert len(calls) == 2 * len(evaluation.ABLATION_VARIANTS)
+        payload = json.loads(out)
+        assert payload["report"] == payload["ablation"]["full"]

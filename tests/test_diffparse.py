@@ -1,21 +1,13 @@
-"""Diff parsing: line hunks, porcelain word fragments, reconstruction."""
+"""Diff parsing: hunks and porcelain word fragments, reconstruction."""
 
 import random
 
 import pytest
 
-from codemapper.diffparse import (
-    FragmentKind,
-    Hunk,
-    MalformedDiff,
-    OpKind,
-    parse_line_diff,
-    parse_word_diff,
-)
-from codemapper.gitio import Algorithm, DiffConfig, GitGateway, Granularity
+from codemapper.diffparse import FragmentKind, Hunk, MalformedDiff, parse_word_diff
+from codemapper.gitio import Algorithm, GitGateway
 
-LINE_MYERS = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
-WORD_MYERS = (DiffConfig(Algorithm.MYERS, Granularity.WORD),)
+MYERS = (Algorithm.MYERS,)
 
 
 @pytest.fixture
@@ -23,28 +15,30 @@ def gateway(tmp_path):
     return GitGateway(tmp_path)
 
 
+def myers_hunks(gateway, source, target):
+    return parse_word_diff(gateway.diff_texts(source, target, algorithms=MYERS)[0])
+
+
 class TestParseLineDiff:
+    """Line-level hunk bounds, as read from the word diff's @@ headers."""
+
     def test_empty_report(self):
-        assert parse_line_diff("") == []
+        assert parse_word_diff("") == []
 
     def test_replaced_line(self, gateway):
         source = "".join(f"l{i}\n" for i in range(1, 10))
         target = source.replace("l7", "L7")
-        report = gateway.diff_texts(source, target, configs=LINE_MYERS)[0]
-        hunks = parse_line_diff(report)
+        hunks = myers_hunks(gateway, source, target)
         assert len(hunks) == 1
         hunk = hunks[0]
         assert (hunk.source_start, hunk.source_end) == (7, 7)
         assert (hunk.target_start, hunk.target_end) == (7, 7)
-        kinds = [op.kind for op in hunk.ops]
-        assert kinds == [OpKind.DELETE, OpKind.ADD]
-        assert hunk.ops[0].source_line == 7 and hunk.ops[1].target_line == 7
+        assert [(u.source_line, u.target_line) for u in hunk.line_fragments] == [(7, 7)]
 
     def test_pure_deletion_encodes_empty_target(self, gateway):
         source = "a\nb\nc\nd\ne\n"
         target = "a\nb\ne\n"
-        report = gateway.diff_texts(source, target, configs=LINE_MYERS)[0]
-        hunks = parse_line_diff(report)
+        hunks = myers_hunks(gateway, source, target)
         assert len(hunks) == 1
         hunk = hunks[0]
         assert (hunk.source_start, hunk.source_end) == (3, 4)
@@ -54,29 +48,32 @@ class TestParseLineDiff:
     def test_pure_insertion_encodes_empty_source(self, gateway):
         source = "a\nb\n"
         target = "a\nx\ny\nb\n"
-        hunk = parse_line_diff(gateway.diff_texts(source, target, configs=LINE_MYERS)[0])[0]
+        hunk = myers_hunks(gateway, source, target)[0]
         assert hunk.source_is_empty
         assert hunk.source_end == hunk.source_start - 1
         assert (hunk.target_start, hunk.target_end) == (2, 3)
 
     def test_malformed_header(self):
         with pytest.raises(MalformedDiff):
-            parse_line_diff("--- a/f\n+++ b/f\n@@ bogus @@\n-x\n")
+            parse_word_diff("--- a/f\n+++ b/f\n@@ bogus @@\n-x\n~\n")
 
     def test_no_newline_marker_skipped(self, gateway):
-        report = gateway.diff_texts("one", "two", configs=LINE_MYERS)[0]
-        hunks = parse_line_diff(report)
-        assert [op.text for op in hunks[0].ops] == ["one", "two"]
+        units = myers_hunks(gateway, "one", "two")[0].line_fragments
+        assert [(u.source_text, u.target_text) for u in units] == [("one", "two")]
 
 
 def replay_ops(source_lines: list[str], hunks: list[Hunk]) -> list[str]:
-    """Apply parsed delete/add ops to the source; independent of @@ math."""
+    """Splice each hunk's target-side units into the source."""
     out = []
     consumed = 0
     for hunk in sorted(hunks, key=lambda h: h.source_start):
         out.extend(source_lines[consumed : hunk.source_start - 1])
         consumed = hunk.source_end if not hunk.source_is_empty else hunk.source_start - 1
-        out.extend(op.text for op in hunk.ops if op.kind is OpKind.ADD)
+        added = sorted(
+            (u for u in hunk.line_fragments if u.target_line is not None),
+            key=lambda u: u.target_line,
+        )
+        out.extend(u.target_text for u in added)
     out.extend(source_lines[consumed:])
     return out
 
@@ -100,11 +97,11 @@ class TestReconstruction:
                         target_lines[index] = target_lines[index] + " edited"
             source = "".join(line + "\n" for line in source_lines)
             target = "".join(line + "\n" for line in target_lines)
-            reports = gateway.diff_texts(source, target, configs=LINE_MYERS)
+            reports = gateway.diff_texts(source, target, algorithms=MYERS)
             if not reports:
                 assert source == target
                 continue
-            hunks = parse_line_diff(reports[0])
+            hunks = parse_word_diff(reports[0])
             assert replay_ops(source_lines, hunks) == target_lines
 
 
@@ -112,7 +109,7 @@ class TestParseWordDiff:
     def test_token_replacement_fragments(self, gateway):
         source = "x = values.old\n"
         target = "x = values.updated\n"
-        report = gateway.diff_texts(source, target, configs=WORD_MYERS)[0]
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         hunks = parse_word_diff(report)
         assert len(hunks) == 1
         lines = hunks[0].line_fragments
@@ -126,14 +123,14 @@ class TestParseWordDiff:
         assert lines[0].source_line == 1 and lines[0].target_line == 1
 
     def test_fully_added_line(self, gateway):
-        report = gateway.diff_texts("a\nb\n", "a\nnew line\nb\n", configs=WORD_MYERS)[0]
+        report = gateway.diff_texts("a\nb\n", "a\nnew line\nb\n", algorithms=MYERS)[0]
         lines = parse_word_diff(report)[0].line_fragments
         assert len(lines) == 1
         assert [f.kind for f in lines[0].fragments] == [FragmentKind.ADDED]
         assert lines[0].target_line == 2 and lines[0].source_line is None
 
     def test_fully_deleted_line(self, gateway):
-        report = gateway.diff_texts("a\ngone\nb\n", "a\nb\n", configs=WORD_MYERS)[0]
+        report = gateway.diff_texts("a\ngone\nb\n", "a\nb\n", algorithms=MYERS)[0]
         lines = parse_word_diff(report)[0].line_fragments
         assert [f.kind for f in lines[0].fragments] == [FragmentKind.DELETED]
         assert lines[0].source_line == 2 and lines[0].target_line is None
@@ -141,7 +138,7 @@ class TestParseWordDiff:
     def test_replacement_pairs_lines(self, gateway):
         source = "one\ntwo\nthree\nfour\nfive\n"
         target = "one\nTWO changed\nnew line\nfour\nfive\n"
-        report = gateway.diff_texts(source, target, configs=WORD_MYERS)[0]
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         lines = parse_word_diff(report)[0].line_fragments
         by_source = {l.source_line: l for l in lines if l.source_line}
         by_target = {l.target_line: l for l in lines if l.target_line}
@@ -149,22 +146,11 @@ class TestParseWordDiff:
         assert set(by_target) == {2, 3}
 
     def test_empty_line_units_consume_quota(self, gateway):
-        report = gateway.diff_texts("x\n\ny\n", "x\ny\n", configs=WORD_MYERS)[0]
+        report = gateway.diff_texts("x\n\ny\n", "x\ny\n", algorithms=MYERS)[0]
         lines = parse_word_diff(report)[0].line_fragments
         assert len(lines) == 1
         assert lines[0].fragments == ()
         assert lines[0].source_line == 2 and lines[0].target_line is None
-
-    def test_unchanged_context_line_is_one_unchanged_fragment(self, gateway):
-        # Context lines only appear when the diff-context knob is raised.
-        report = gateway.diff_texts(
-            "keep me\nold\n", "keep me\nnew\n", configs=WORD_MYERS, context_lines=1
-        )[0]
-        lines = parse_word_diff(report)[0].line_fragments
-        context_unit = next(l for l in lines if l.source_line == 1)
-        assert [f.kind for f in context_unit.fragments] == [FragmentKind.UNCHANGED]
-        assert context_unit.target_text == "keep me"
-        assert context_unit.target_line == 1
 
     def test_target_side_reconstruction_is_exact(self, gateway):
         rng = random.Random(21)
@@ -175,7 +161,7 @@ class TestParseWordDiff:
             target_words[rng.randrange(len(target_words))] = rng.choice(tokens) + "_new"
             source = " ".join(source_words) + "\n"
             target = " ".join(target_words) + "\n"
-            reports = gateway.diff_texts(source, target, configs=WORD_MYERS)
+            reports = gateway.diff_texts(source, target, algorithms=MYERS)
             if not reports:
                 continue
             for hunk in parse_word_diff(reports[0]):

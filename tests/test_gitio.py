@@ -1,27 +1,32 @@
 """Git gateway: content retrieval, rename resolution, diff reports."""
 
+import os
+import random
+import shutil
+import subprocess
+
 import pytest
 
-from codemapper.diffparse import parse_line_diff
+from codemapper.diffparse import FragmentKind, parse_word_diff
+from codemapper.fixtures import build_corpus
 from codemapper.gitio import (
     ALL_CONFIGS,
     Algorithm,
     BinaryFile,
-    DiffConfig,
+    DiffToolFailure,
     GitGateway,
-    Granularity,
     NotFound,
     RepoError,
 )
+from codemapper.pipeline import map_region
+from codemapper.regions import Region, make_range
 
 BASE = "\n".join(f"line {i}" for i in range(1, 11)) + "\n"
 
 
-def test_exactly_eight_configs():
-    assert len(ALL_CONFIGS) == 8
-    assert len(set(ALL_CONFIGS)) == 8
-    assert {c.granularity for c in ALL_CONFIGS} == {Granularity.LINE, Granularity.WORD}
-    assert {c.algorithm for c in ALL_CONFIGS} == set(Algorithm)
+def test_one_config_per_algorithm():
+    assert len(ALL_CONFIGS) == 4
+    assert set(ALL_CONFIGS) == set(Algorithm)
 
 
 class TestFileContent:
@@ -94,10 +99,8 @@ class TestDiffReports:
         edited = BASE.replace("line 4", "line four")
         reports = gateway.diff_texts(BASE, edited)
         assert reports
-        line_reports = [r for r in reports if r.config.granularity is Granularity.LINE]
-        assert line_reports
-        for report in line_reports:
-            hunks = parse_line_diff(report)
+        for report in reports:
+            hunks = parse_word_diff(report)
             assert len(hunks) == 1
             assert hunks[0].source_start == hunks[0].source_end == 4
 
@@ -107,35 +110,28 @@ class TestDiffReports:
         source = "A\nB\nC\nA\nB\nB\nA\n"
         target = "C\nB\nA\nB\nA\nC\n"
         gateway = GitGateway(repo_builder.path)
-        line_reports = [
-            r
-            for r in gateway.diff_texts(source, target)
-            if r.config.granularity is Granularity.LINE
-        ]
-        assert len(line_reports) > 1
-        assert len({r.text for r in line_reports}) == len(line_reports)
+        reports = gateway.diff_texts(source, target)
+        assert len(reports) > 1
+        assert len({r.text for r in reports}) == len(reports)
 
     def test_dedup_never_exceeds_eight(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
         reports = gateway.diff_texts(BASE, BASE.replace("line 2", "other"))
-        assert len(reports) <= 8
+        assert len(reports) <= len(ALL_CONFIGS)
 
     def test_determinism(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
         edited = BASE.replace("line 7", "line seven")
-        first = [(r.config, r.text) for r in gateway.diff_texts(BASE, edited)]
-        second = [(r.config, r.text) for r in gateway.diff_texts(BASE, edited)]
+        first = [(r.algorithm, r.text) for r in gateway.diff_texts(BASE, edited)]
+        second = [(r.algorithm, r.text) for r in gateway.diff_texts(BASE, edited)]
         assert first == second
 
     def test_direction_symmetry(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
         edited = BASE.replace("line 4", "line four\nline 4b")
-        myers_line = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
-        forward = parse_line_diff(gateway.diff_texts(BASE, edited, configs=myers_line)[0])
-        backward = parse_line_diff(gateway.diff_texts(edited, BASE, configs=myers_line)[0])
-        assert [(h.source_start, h.source_end, h.target_start, h.target_end) for h in forward] == [
-            (h.target_start, h.target_end, h.source_start, h.source_end) for h in backward
-        ]
+        forward = _myers_hunks(gateway, BASE, edited)
+        backward = _myers_hunks(gateway, edited, BASE)
+        assert forward == [(ts, te, ss, se) for ss, se, ts, te in backward]
 
     def test_reports_via_commits(self, repo_builder):
         first = repo_builder.commit({"f.txt": BASE})
@@ -144,12 +140,9 @@ class TestDiffReports:
         reports = gateway.diff_texts(
             gateway.file_content(first, "f.txt"),
             gateway.file_content(second, "f.txt"),
-            source_file="f.txt",
-            target_file="f.txt",
         )
-        assert reports and all(r.source_file == "f.txt" for r in reports)
-        line_reports = [r for r in reports if r.config.granularity is Granularity.LINE]
-        assert [h.source_start for h in parse_line_diff(line_reports[0])] == [9]
+        assert reports
+        assert [h.source_start for h in parse_word_diff(reports[0])] == [9]
 
 
 def _clean_git_config(monkeypatch):
@@ -158,12 +151,11 @@ def _clean_git_config(monkeypatch):
     monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
 
 
-def _myers_line_hunks(gateway, source, target):
-    myers_line = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
-    report = gateway.diff_texts(source, target, configs=myers_line)[0]
+def _myers_hunks(gateway, source, target):
+    report = gateway.diff_texts(source, target, algorithms=(Algorithm.MYERS,))[0]
     return [
         (h.source_start, h.source_end, h.target_start, h.target_end)
-        for h in parse_line_diff(report)
+        for h in parse_word_diff(report)
     ]
 
 
@@ -175,18 +167,193 @@ class TestDiffIgnoresCallerConfig:
     def test_global_config_file(self, repo_builder, tmp_path, monkeypatch):
         _clean_git_config(monkeypatch)
         gateway = GitGateway(repo_builder.path)
-        clean = _myers_line_hunks(gateway, BASE, self.EDITED)
+        clean = _myers_hunks(gateway, BASE, self.EDITED)
         assert clean == [(5, 5, 5, 5), (9, 9, 9, 9)]
         config = tmp_path / "gitconfig"
         config.write_text("[diff]\n\tinterHunkContext = 10\n", encoding="utf-8")
         monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
-        assert _myers_line_hunks(gateway, BASE, self.EDITED) == clean
+        assert _myers_hunks(gateway, BASE, self.EDITED) == clean
 
     def test_config_passed_in_environment(self, repo_builder, monkeypatch):
         _clean_git_config(monkeypatch)
         gateway = GitGateway(repo_builder.path)
-        clean = _myers_line_hunks(gateway, BASE, self.EDITED)
+        clean = _myers_hunks(gateway, BASE, self.EDITED)
         monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
         monkeypatch.setenv("GIT_CONFIG_KEY_0", "diff.interHunkContext")
         monkeypatch.setenv("GIT_CONFIG_VALUE_0", "10")
-        assert _myers_line_hunks(gateway, BASE, self.EDITED) == clean
+        assert _myers_hunks(gateway, BASE, self.EDITED) == clean
+
+
+class TestDiffLocale:
+    SOURCE = "x = naïve_value + 1\n"
+    TARGET = "x = naïve_count + 1\n"
+
+    def _changed_fragments(self, gateway):
+        report = gateway.diff_texts(self.SOURCE, self.TARGET, algorithms=(Algorithm.MYERS,))[0]
+        return [
+            (f.kind, f.text)
+            for unit in parse_word_diff(report)[0].line_fragments
+            for f in unit.fragments
+            if f.kind is not FragmentKind.UNCHANGED
+        ]
+
+    def test_byte_locale_does_not_split_non_ascii_words(self, repo_builder, monkeypatch):
+        # Under LC_ALL=C the word regex splits at "ï", so "naï" reads as unchanged.
+        gateway = GitGateway(repo_builder.path)
+        monkeypatch.setenv("LC_ALL", "C.UTF-8")
+        clean = self._changed_fragments(gateway)
+        assert clean == [
+            (FragmentKind.DELETED, "naïve_value"),
+            (FragmentKind.ADDED, "naïve_count"),
+        ]
+        monkeypatch.setenv("LC_ALL", "C")
+        assert self._changed_fragments(gateway) == clean
+
+
+class TestEmptyDiffOutput:
+    def test_exit_1_without_output_raises(self, repo_builder, tmp_path):
+        # A git that reports "different" for `diff --no-index` but prints
+        # nothing; every other command runs the real git.
+        wrapper = tmp_path / "silent-diff-git"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'if [ "$1" = diff ]; then\n'
+            '  for arg in "$@"; do [ "$arg" = --no-index ] && exit 1; done\n'
+            "fi\n"
+            f'exec "{shutil.which("git")}" "$@"\n',
+            encoding="utf-8",
+        )
+        wrapper.chmod(0o755)
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
+        gateway = GitGateway(repo_builder.path, git_bin=str(wrapper))
+        with pytest.raises(DiffToolFailure):
+            gateway.diff_texts(BASE, BASE.replace("line 5", "line FIVE"))
+        source = Region(first, "f.py", make_range(5, 6, 5, 6))
+        with pytest.raises(DiffToolFailure):
+            map_region(repo_builder.path, source, second, git_bin=str(wrapper))
+
+
+# -- header identity: word diffs carry the line diff's hunks -------------------
+
+
+def _plain_headers(workdir, source, target, algorithm):
+    """@@ lines of a plain line-level `git diff --no-index --unified=0`."""
+    (workdir / "a").write_text(source, encoding="utf-8")
+    (workdir / "b").write_text(target, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
+    env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull, LC_ALL="C.UTF-8")
+    proc = subprocess.run(
+        [
+            "git", "diff", "--no-index", "--no-ext-diff", "--unified=0",
+            f"--diff-algorithm={algorithm.value}", "--", "a", "b",
+        ],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    text = proc.stdout.decode("utf-8", errors="replace")
+    return [line for line in text.splitlines() if line.startswith("@@")]
+
+
+def _word_headers(gateway, source, target, algorithm):
+    reports = gateway.diff_texts(source, target, algorithms=(algorithm,))
+    text = reports[0].text if reports else ""
+    return [line for line in text.splitlines() if line.startswith("@@")]
+
+
+def _assert_same_headers(gateway, workdir, source, target):
+    for algorithm in Algorithm:
+        assert _word_headers(gateway, source, target, algorithm) == _plain_headers(
+            workdir, source, target, algorithm
+        ), (algorithm, source, target)
+
+
+def _lcg_lines(seed, count, alphabet):
+    out = []
+    for _ in range(count):
+        seed = (seed * 1103515245 + 12345) % 2**31
+        out.append(f"{(seed >> 16) % alphabet}\n")
+    return "".join(out)
+
+
+# Inputs on which the algorithm's hunks differ from myers' (the default), so
+# a word run that lost --diff-algorithm would read the wrong headers.
+DISAGREEING = {
+    Algorithm.MYERS: ("A\nB\nC\nA\nB\nB\nA\n", "C\nB\nA\nB\nA\nC\n"),
+    Algorithm.MINIMAL: (_lcg_lines(1, 600, 6), _lcg_lines(2, 600, 6)),
+    Algorithm.PATIENCE: ("A\n{\nB\n{\n{\nB\nC\n}\nC\n", "{\n}\nA\n"),
+    Algorithm.HISTOGRAM: ("A\nB\nC\nA\nB\nB\nA\n", "C\nB\nA\nB\nA\nC\n"),
+}
+
+WORDS = ["x = 1", "return y", "naïve_value", "größe = 2", "日本語", "\U0001f600 ok", "", "}"]
+
+
+def _random_pair(rng):
+    lines = [rng.choice(WORDS) for _ in range(rng.randint(0, 12))]
+    edited = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["insert", "delete", "replace", "spacing", "reindent"])
+        if kind == "insert" or not edited:
+            edited.insert(rng.randint(0, len(edited)), rng.choice(WORDS))
+            continue
+        i = rng.randrange(len(edited))
+        if kind == "delete":
+            edited.pop(i)
+        elif kind == "replace":
+            edited[i] = rng.choice(WORDS) + " edited"
+        elif kind == "spacing":
+            edited[i] = edited[i].replace(" ", "  ") + rng.choice(["", " ", "\t"])
+        else:
+            for j in range(i, min(len(edited), i + rng.randint(1, 3))):
+                edited[j] = rng.choice(["    ", "\t", "  "]) + edited[j]
+
+    def join(ls):
+        text = "".join(line + "\n" for line in ls)
+        return text[:-1] if text and rng.random() < 0.25 else text  # no final newline
+
+    return join(lines), join(edited)
+
+
+class TestWordHeadersEqualLineHeaders:
+    @pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+    def test_word_run_uses_the_algorithm(self, repo_builder, tmp_path, algorithm):
+        gateway = GitGateway(repo_builder.path)
+        source, target = DISAGREEING[algorithm]
+        plain = _plain_headers(tmp_path, source, target, algorithm)
+        assert _word_headers(gateway, source, target, algorithm) == plain
+        other = Algorithm.HISTOGRAM if algorithm is Algorithm.MYERS else Algorithm.MYERS
+        assert plain != _plain_headers(tmp_path, source, target, other)
+
+    def test_fixture_corpus_blob_pairs(self, repo_builder, tmp_path):
+        corpus = tmp_path / "corpus"
+        build_corpus(corpus)
+        gateway = GitGateway(repo_builder.path)
+        pairs = 0
+        for repo in sorted((corpus / "repos").iterdir()):
+            def git(*args):
+                return subprocess.run(
+                    ["git", *args], cwd=repo, capture_output=True, text=True, check=True
+                ).stdout.split()
+
+            blobs = {
+                GitGateway(repo).file_content(commit, path)
+                for commit in git("rev-list", "--all")
+                for path in git("ls-tree", "-r", "--name-only", commit)
+            }
+            for source in sorted(blobs):
+                for target in sorted(blobs):
+                    if source != target:
+                        _assert_same_headers(gateway, tmp_path, source, target)
+                        pairs += 1
+        assert pairs >= 20, pairs
+
+    def test_seeded_random_edits(self, repo_builder, tmp_path):
+        gateway = GitGateway(repo_builder.path)
+        rng = random.Random(968)
+        for _ in range(40):
+            source, target = _random_pair(rng)
+            _assert_same_headers(gateway, tmp_path, source, target)
+        for source, target in [("", "x\n"), ("x\n", ""), ("a\nb\n", "a\nb"), ("a\n", "  a\n")]:
+            _assert_same_headers(gateway, tmp_path, source, target)

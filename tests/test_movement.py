@@ -2,13 +2,10 @@
 
 import pytest
 
-from codemapper.diffparse import parse_line_diff
-from codemapper.gitio import Algorithm, DiffConfig, GitGateway, Granularity
+from codemapper.diffparse import parse_word_diff
+from codemapper.gitio import Algorithm, GitGateway
 from codemapper.movement import detect_movements, region_fully_deleted
 from codemapper.regions import extract_text, make_range
-
-LINE_MYERS = (DiffConfig(Algorithm.MYERS, Granularity.LINE),)
-
 
 @pytest.fixture
 def gateway(tmp_path):
@@ -16,8 +13,8 @@ def gateway(tmp_path):
 
 
 def hunks_for(gateway, source, target):
-    reports = gateway.diff_texts(source, target, configs=LINE_MYERS)
-    return parse_line_diff(reports[0]) if reports else []
+    reports = gateway.diff_texts(source, target, algorithms=(Algorithm.MYERS,))
+    return parse_word_diff(reports[0]) if reports else []
 
 
 def text(lines):

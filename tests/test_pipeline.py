@@ -1,5 +1,7 @@
 """End-to-end mapping through real repositories."""
 
+import time
+
 import pytest
 
 from codemapper.candidates import Origin
@@ -139,18 +141,26 @@ class TestMapRegion:
         target_text = BASE.replace("line 4", "line FOUR plus")
         assert extract_text(target_text, result.target.range) == "line FOUR plus"
 
-    def test_diff_context_tunable_still_maps_unchanged_region(self, repo_builder):
+    def test_total_time_covers_the_whole_call(self, repo_builder, monkeypatch):
         first = repo_builder.commit({"f.py": BASE})
-        second = repo_builder.commit(
-            {"f.py": text(["padding"] + [f"line {i}" for i in range(1, 13)])}
+        second = repo_builder.commit({"f.py": BASE.replace("line 7", "line seven")})
+        real = GitGateway.file_content
+        calls = []
+
+        def slow_first_read(self, commit, path):
+            if not calls:
+                time.sleep(0.3)
+            calls.append(path)
+            return real(self, commit, path)
+
+        monkeypatch.setattr(GitGateway, "file_content", slow_first_read)
+        started = time.perf_counter()
+        result = map_region(repo_builder.path, Region(first, "f.py", make_range(7, 1, 7, 6)), second)
+        elapsed = time.perf_counter() - started
+        assert 0.3 <= result.timings.total_s <= elapsed
+        assert result.timings.total_s == pytest.approx(
+            result.timings.candidates_s + result.timings.selection_s
         )
-        source = Region(first, "f.py", make_range(8, 1, 8, 6))
-        result = map_region(
-            repo_builder.path, source, second, SelectionConfig(diff_context_lines=2)
-        )
-        assert isinstance(result.target, Region)
-        target_text = text(["padding"] + [f"line {i}" for i in range(1, 13)])
-        assert extract_text(target_text, result.target.range) == "line 8"
 
     def test_external_diff_tool_does_not_change_the_answer(self, repo_builder, monkeypatch):
         # A caller's GIT_EXTERNAL_DIFF that prints nothing would otherwise
