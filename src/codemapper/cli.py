@@ -3,7 +3,7 @@
 Coordinates are 1-based with an inclusive end column, matching the library's
 range convention. Exit codes: 0 success, 2 region-resolution failure,
 3 repository errors, 64 usage errors, 65 dataset parse errors, 70 internal
-errors (git output codemapper cannot read).
+errors (git output codemapper cannot read, or any other bug).
 """
 
 import argparse
@@ -147,16 +147,23 @@ def cmd_map(args) -> int:
             args.file,
             make_range(args.start_line, args.start_col, args.end_line, args.end_col),
         )
+    except ValueError as exc:
+        print(f"codemapper: cannot resolve source region: {exc}", file=sys.stderr)
+        return 2
+    try:
         result = map_region(args.repo, source, args.target_commit, config)
-    except MalformedDiff as exc:
-        print(f"codemapper: internal error: cannot read git output: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
-    except (InvalidRange, OutOfBounds, NotFound, ValueError) as exc:
+    except (InvalidRange, OutOfBounds, NotFound) as exc:
         print(f"codemapper: cannot resolve source region: {exc}", file=sys.stderr)
         return 2
     except RepoError as exc:
         print(f"codemapper: repository error: {exc}", file=sys.stderr)
         return 3
+    except MalformedDiff as exc:
+        print(f"codemapper: internal error: cannot read git output: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+    except ValueError as exc:
+        print(f"codemapper: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     if args.format == "json":
         print(json.dumps(_map_output(result, args), indent=2))
     else:

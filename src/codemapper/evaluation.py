@@ -8,7 +8,9 @@ separately.
 
 import hashlib
 import json
+import shutil
 import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -366,13 +368,23 @@ def _resolve_repo(repo: str, base_dir, cache_dir, git_bin) -> str:
         cache_root.mkdir(parents=True, exist_ok=True)
         clone = cache_root / hashlib.sha1(repo.encode()).hexdigest()[:16]
         if not clone.exists():
+            # Clone aside and rename into place, so concurrent evaluations
+            # of one repository never share a half-made clone.
+            fresh = Path(tempfile.mkdtemp(prefix=f".{clone.name}-", dir=cache_root))
             proc = subprocess.run(
-                [git_executable(git_bin), "clone", "--quiet", repo, str(clone)],
+                [git_executable(git_bin), "clone", "--quiet", repo, str(fresh)],
                 capture_output=True,
             )
             if proc.returncode != 0:
+                shutil.rmtree(fresh, ignore_errors=True)
                 stderr = proc.stderr.decode("utf-8", errors="replace").strip()
                 raise RepoError(f"git clone {repo} failed ({proc.returncode}): {stderr}")
+            try:
+                fresh.rename(clone)
+            except OSError:
+                shutil.rmtree(fresh, ignore_errors=True)  # another thread won
+                if not clone.exists():
+                    raise
         return str(clone)
     path = Path(repo)
     if not path.is_absolute() and base_dir is not None:
@@ -392,10 +404,12 @@ def evaluate_record(
         result = map_region(repo, record.source, record.target_commit, config, git_bin)
         predicted = result.target
         if isinstance(record.expected, Region):
-            gateway = GitGateway(repo, git_bin)
-            target_text = gateway.file_content(
-                gateway.rev_parse(record.target_commit), record.expected.file
-            )
+            if record.expected.file == result.target_file:
+                target_text = result.target_text
+            else:
+                target_text = GitGateway(repo, git_bin).file_content(
+                    result.target_commit, record.expected.file
+                )
         else:
             target_text = ""
         outcome = classify_outcome(predicted, record.expected, target_text)

@@ -1,7 +1,7 @@
 """End-to-end mapping of one source region to a target commit."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from codemapper.candidates import (
     Candidate,
@@ -10,7 +10,7 @@ from codemapper.candidates import (
     extract_diff_candidates,
 )
 from codemapper.diffparse import parse_word_diff
-from codemapper.gitio import GitGateway
+from codemapper.gitio import GitGateway, blob_text
 from codemapper.movement import detect_movements
 from codemapper.regions import DELETED, Region, Target, extract_text, to_abs_interval
 from codemapper.search import search_text
@@ -33,6 +33,9 @@ class MappingResult:
     candidates: tuple[Candidate, ...]
     reason: str | None
     timings: PhaseTimings
+    # Normalized text of `target_file` at the target commit; None when the
+    # file is gone.
+    target_text: str | None = field(repr=False)
 
     @property
     def is_deleted(self) -> bool:
@@ -60,13 +63,14 @@ def map_region(
     started = time.perf_counter()
     config = config or SelectionConfig()
     gateway = GitGateway(repo, git_bin)
-    source_sha = gateway.rev_parse(source.commit)
-    target_sha = gateway.rev_parse(target_commit)
-
-    source_text = gateway.file_content(source_sha, source.file)
+    source_sha, target_sha, source_text, target = gateway.read_endpoints(
+        source.commit, source.file, target_commit
+    )
     to_abs_interval(source_text, source.range)  # fail fast on a bad region
 
-    resolved = gateway.resolve_target_file(source_sha, source.file, target_sha)
+    resolved = source.file
+    if target.type != "blob":
+        resolved, target = gateway.follow_rename(source_sha, source.file, target_sha)
     if resolved is None:
         now = time.perf_counter()
         return MappingResult(
@@ -77,9 +81,10 @@ def map_region(
             candidates=(),
             reason="file_deleted",
             timings=PhaseTimings(now - started, 0.0, now - started),
+            target_text=None,
         )
 
-    target_text = gateway.file_content(target_sha, resolved)
+    target_text = blob_text(target, target_sha, resolved)
     parsed = tuple(
         ParsedReport(report.algorithm, tuple(parse_word_diff(report)))
         for report in gateway.diff_texts(source_text, target_text)
@@ -138,4 +143,5 @@ def map_region(
         timings=PhaseTimings(
             phase1_done - started, finished - phase1_done, finished - started
         ),
+        target_text=target_text,
     )

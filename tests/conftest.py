@@ -1,5 +1,6 @@
 """Shared helpers: scripted git repositories for integration tests."""
 
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -52,3 +53,19 @@ class RepoBuilder:
 @pytest.fixture
 def repo_builder(tmp_path):
     return RepoBuilder(tmp_path / "repo")
+
+
+@pytest.fixture
+def git_wrapper(tmp_path):
+    """Factory for a `git_bin`: a shell script that runs `body`, then execs
+    the real git with the same arguments."""
+
+    def make(body: str, name: str = "git-wrapper") -> str:
+        script = tmp_path / name
+        script.write_text(
+            f'#!/bin/sh\n{body}\nexec "{shutil.which("git")}" "$@"\n', encoding="utf-8"
+        )
+        script.chmod(0o755)
+        return str(script)
+
+    return make

@@ -113,6 +113,27 @@ class TestCmdMap:
         )
         assert code == 2
 
+    def test_empty_commit_is_2(self, repo_builder, capsys):
+        repo_builder.commit({"f.py": BASE})
+        code, _, err = run_cli(capsys, *map_args(repo_builder.path, "", "HEAD"))
+        assert code == 2
+        assert "cannot resolve source region" in err
+
+    def test_directory_source_is_2(self, repo_builder, capsys):
+        repo_builder.commit({"pkg/m.py": BASE})
+        code, out, err = run_cli(
+            capsys,
+            "map", "--repo", str(repo_builder.path),
+            "--source-commit", "HEAD",
+            "--file", "pkg",
+            "--start-line", "3", "--start-col", "1",
+            "--end-line", "3", "--end-col", "4",
+            "--target-commit", "HEAD",
+        )
+        assert code == 2
+        assert "'pkg' is a tree" in err
+        assert out == ""
+
     def test_repo_error_is_3(self, repo_builder, capsys):
         repo_builder.commit({"f.py": BASE})
         code, _, err = run_cli(
@@ -131,6 +152,18 @@ class TestCmdMap:
         code, _, err = run_cli(capsys, *map_args(repo_builder.path, sha, sha))
         assert code == 70
         assert "internal error" in err
+        assert "cannot resolve source region" not in err
+
+    def test_internal_value_error_is_70(self, repo_builder, capsys, monkeypatch):
+        sha = repo_builder.commit({"f.py": BASE})
+
+        def fail(*args, **kwargs):
+            raise ValueError("need 0 <= start < end, got [5, 5)")
+
+        monkeypatch.setattr(cli, "map_region", fail)
+        code, _, err = run_cli(capsys, *map_args(repo_builder.path, sha, sha))
+        assert code == 70
+        assert "internal error: ValueError" in err
         assert "cannot resolve source region" not in err
 
     def test_json_output_is_deterministic(self, repo_builder, capsys):

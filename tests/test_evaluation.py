@@ -294,7 +294,29 @@ def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):
     assert result.outcome.kind is OutcomeKind.EXACT
     calls = log.read_text(encoding="utf-8").split()
     assert calls[0] == "clone"
-    assert "rev-parse" in calls
+    assert "cat-file" in calls
+
+
+def test_parallel_records_share_one_clone(repo_builder, tmp_path, git_wrapper):
+    sha = repo_builder.commit({"f.py": "alpha\nbeta\n"})
+    bare = tmp_path / "origin.git"
+    subprocess.run(
+        ["git", "clone", "--quiet", "--bare", str(repo_builder.path), str(bare)],
+        check=True,
+        capture_output=True,
+    )
+    # A slow clone lets both jobs find the cache empty.
+    wrapper = git_wrapper('[ "$1" = clone ] && sleep 0.5')
+    region = Region(sha, "f.py", make_range(2, 1, 2, 4))
+    records = [
+        EvalRecord(repo=str(bare), source=region, target_commit=sha, expected=region, name=name)
+        for name in ("a", "b")
+    ]
+    cache = tmp_path / "cache"
+    report = evaluate(records, jobs=2, cache_dir=cache, git_bin=wrapper)
+    assert [result.error for result in report.results] == [None, None]
+    assert report.aggregates.exact_count == 2
+    assert len(list(cache.iterdir())) == 1  # the losing clone was removed
 
 
 def test_failed_clone_is_a_record_error(tmp_path):

@@ -4,6 +4,7 @@ import os
 import random
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from codemapper.gitio import (
     Algorithm,
     BinaryFile,
     DiffToolFailure,
+    MISSING,
     GitGateway,
     NotFound,
     RepoError,
@@ -55,38 +57,83 @@ class TestFileContent:
             GitGateway(repo_builder.path).file_content(sha, "nope.txt")
 
     def test_unknown_commit(self, repo_builder):
-        repo_builder.commit({"f.txt": BASE})
-        with pytest.raises(RepoError):
-            GitGateway(repo_builder.path).rev_parse("0" * 40)
+        sha = repo_builder.commit({"f.txt": BASE})
+        gateway = GitGateway(repo_builder.path)
+        unknown = "0" * 40
+        # Errors come in order: source commit, target commit, source file.
+        with pytest.raises(RepoError, match=f"unknown commit '{unknown}'"):
+            gateway.read_endpoints(unknown, "nope.txt", unknown)
+        with pytest.raises(RepoError, match=f"unknown commit '{unknown}'"):
+            gateway.read_endpoints(sha, "nope.txt", unknown)
+        with pytest.raises(NotFound):
+            gateway.read_endpoints(sha, "nope.txt", sha)
+
+
+class TestBatchRead:
+    def test_one_answer_per_name(self, repo_builder):
+        repo_builder.commit({"f.txt": BASE, "pkg/m.py": "x = 1\n"})
+        sha = repo_builder.commit_binary("blob.bin", b"\x00\x01")
+        commit, text, binary, tree, missing = GitGateway(repo_builder.path).read_objects(
+            [f"{sha}^{{commit}}", f"{sha}:f.txt", f"{sha}:blob.bin", f"{sha}:pkg", f"{sha}:nope"]
+        )
+        assert (commit.type, commit.oid) == ("commit", sha)
+        assert (text.type, text.text) == ("blob", BASE)
+        assert (binary.type, binary.text) == ("blob", None)
+        assert (tree.type, tree.text) == ("tree", None)
+        assert missing == MISSING
+
+    def test_directory_is_not_a_file(self, repo_builder):
+        sha = repo_builder.commit({"pkg/m.py": BASE})
+        with pytest.raises(NotFound, match="'pkg' is a tree"):
+            GitGateway(repo_builder.path).file_content(sha, "pkg")
+
+    def test_newline_in_a_name_is_refused(self, repo_builder):
+        sha = repo_builder.commit({"f.txt": BASE})
+        with pytest.raises(RepoError, match="contains a newline"):
+            GitGateway(repo_builder.path).file_content(sha, "f.txt\nHEAD")
+
+    @pytest.mark.parametrize(
+        "output", ["", "deadbeef blob 100\\ncut off", "deadbeef blob"], ids=["empty", "short", "header"]
+    )
+    def test_cut_off_answer_raises_with_exit_code_and_stderr(self, repo_builder, git_wrapper, output):
+        sha = repo_builder.commit({"f.txt": BASE})
+        wrapper = git_wrapper(
+            f'if [ "$1" = cat-file ]; then printf "{output}"; echo "disk on fire" >&2; exit 3; fi'
+        )
+        with pytest.raises(RepoError, match=r"git cat-file failed \(3\): disk on fire"):
+            GitGateway(repo_builder.path, git_bin=wrapper).file_content(sha, "f.txt")
 
 
 class TestResolveTargetFile:
+    """Which file at the target holds the source file's content."""
+
+    @staticmethod
+    def target_file(repo_builder, source_commit, path, target_commit):
+        source = Region(source_commit, path, make_range(1, 1, 1, 4))
+        return map_region(repo_builder.path, source, target_commit).target_file
+
     def test_unchanged_path(self, repo_builder):
         first = repo_builder.commit({"a.py": BASE})
         second = repo_builder.commit({"a.py": BASE + "tail\n"})
-        gateway = GitGateway(repo_builder.path)
-        assert gateway.resolve_target_file(first, "a.py", second) == "a.py"
+        assert self.target_file(repo_builder, first, "a.py", second) == "a.py"
 
     def test_rename_forward(self, repo_builder):
         first = repo_builder.commit({"a.py": BASE})
         repo_builder.commit({"a.py": None, "b.py": BASE})
         third = repo_builder.commit({"b.py": BASE + "tail\n"})
-        gateway = GitGateway(repo_builder.path)
-        assert gateway.resolve_target_file(first, "a.py", third) == "b.py"
+        assert self.target_file(repo_builder, first, "a.py", third) == "b.py"
 
     def test_rename_backward(self, repo_builder):
         first = repo_builder.commit({"a.py": BASE})
         repo_builder.commit({"a.py": None, "b.py": BASE})
         third = repo_builder.commit({"b.py": BASE + "tail\n"})
-        gateway = GitGateway(repo_builder.path)
-        assert gateway.resolve_target_file(third, "b.py", first) == "a.py"
+        assert self.target_file(repo_builder, third, "b.py", first) == "a.py"
 
     def test_deleted_file(self, repo_builder):
         first = repo_builder.commit({"a.py": BASE, "keep.py": "x = 1\n"})
         repo_builder.commit({"a.py": None})
         third = repo_builder.commit({"keep.py": "x = 2\n"})
-        gateway = GitGateway(repo_builder.path)
-        assert gateway.resolve_target_file(first, "a.py", third) is None
+        assert self.target_file(repo_builder, first, "a.py", third) is None
 
 
 class TestDiffReports:
@@ -232,6 +279,36 @@ class TestEmptyDiffOutput:
         source = Region(first, "f.py", make_range(5, 6, 5, 6))
         with pytest.raises(DiffToolFailure):
             map_region(repo_builder.path, source, second, git_bin=str(wrapper))
+
+
+class TestConcurrentDiffs:
+    def test_a_failed_diff_leaves_no_process_or_directory(self, repo_builder, git_wrapper, tmp_path):
+        # myers fails after a second; the other three would run for 30 s.
+        log = tmp_path / "diffs.log"
+        wrapper = git_wrapper(
+            'if [ "$1" = diff ]; then\n'
+            f'  echo "$$ $PWD" >> "{log}"\n'
+            '  for arg in "$@"; do\n'
+            '    [ "$arg" = --diff-algorithm=myers ] && sleep 1 && exit 2\n'
+            "  done\n"
+            "  exec sleep 30\n"
+            "fi"
+        )
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
+        started = time.monotonic()
+        with pytest.raises(DiffToolFailure, match=r"git diff failed \(2\)"):
+            map_region(
+                repo_builder.path, Region(first, "f.py", make_range(5, 1, 5, 4)), second,
+                git_bin=wrapper,
+            )
+        assert time.monotonic() - started < 10
+        entries = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(entries) == len(ALL_CONFIGS)
+        for pid, cwd in entries:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+            assert not os.path.exists(cwd)
 
 
 # -- header identity: word diffs carry the line diff's hunks -------------------

@@ -1,11 +1,13 @@
 """End-to-end mapping through real repositories."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from codemapper.candidates import Origin
-from codemapper.gitio import GitGateway, RepoError
+from codemapper.evaluation import EvalRecord, evaluate_record
+from codemapper.gitio import GitGateway, NotFound, RepoError
 from codemapper.pipeline import map_region
 from codemapper.regions import DELETED, OutOfBounds, Region, extract_text, make_range
 from codemapper.selector import SelectionConfig
@@ -97,6 +99,20 @@ class TestMapRegion:
         got = extract_text(text(filler + block), result.target.range)
         assert got == "\n".join(block)
 
+    def test_directory_source_path_is_not_found(self, repo_builder):
+        repo_builder.commit({"pkg/m.py": BASE})
+        repo_builder.commit({"pkg/m.py": BASE + "tail\n"})
+        source = Region("HEAD~1", "pkg", make_range(3, 1, 3, 4))
+        with pytest.raises(NotFound, match="'pkg' is a tree"):
+            map_region(repo_builder.path, source, "HEAD")
+
+    def test_directory_at_target_counts_as_missing(self, repo_builder):
+        first = repo_builder.commit({"pkg": BASE})
+        second = repo_builder.commit({"pkg": None, "pkg/m.py": "import os\n"})
+        result = map_region(repo_builder.path, Region(first, "pkg", make_range(3, 1, 3, 4)), second)
+        assert result.target is DELETED
+        assert (result.target_file, result.reason) == (None, "file_deleted")
+
     def test_out_of_bounds_region_rejected(self, repo_builder):
         sha = repo_builder.commit({"f.py": BASE})
         source = Region(sha, "f.py", make_range(99, 1, 99, 2))
@@ -144,16 +160,16 @@ class TestMapRegion:
     def test_total_time_covers_the_whole_call(self, repo_builder, monkeypatch):
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 7", "line seven")})
-        real = GitGateway.file_content
+        real = GitGateway.read_objects
         calls = []
 
-        def slow_first_read(self, commit, path):
+        def slow_first_read(self, names):
             if not calls:
                 time.sleep(0.3)
-            calls.append(path)
-            return real(self, commit, path)
+            calls.append(names)
+            return real(self, names)
 
-        monkeypatch.setattr(GitGateway, "file_content", slow_first_read)
+        monkeypatch.setattr(GitGateway, "read_objects", slow_first_read)
         started = time.perf_counter()
         result = map_region(repo_builder.path, Region(first, "f.py", make_range(7, 1, 7, 6)), second)
         elapsed = time.perf_counter() - started
@@ -236,3 +252,55 @@ class TestMapRegion:
                 assert scores == sorted(scores, reverse=True)
                 checked += 1
         assert checked >= 16
+
+
+class TestGitProcessBudget:
+    """The git commands one mapping runs, logged by a `git_bin` wrapper."""
+
+    @pytest.fixture
+    def logged(self, git_wrapper, tmp_path):
+        log = tmp_path / "git.log"
+        wrapper = git_wrapper(f'echo "$*" >> "{log}"')
+
+        def take() -> list[list[str]]:
+            calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+            log.unlink()
+            return calls
+
+        return wrapper, take
+
+    def test_file_in_place(self, repo_builder, logged):
+        wrapper, take = logged
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 7", "line seven")})
+        map_region(repo_builder.path, Region(first, "f.py", make_range(7, 1, 7, 6)), second, git_bin=wrapper)
+        calls = take()
+        assert Counter(call[0] for call in calls) == {"cat-file": 1, "diff": 4}
+        assert all("--indent-heuristic" in call for call in calls if call[0] == "diff")
+
+    def test_moved_file_adds_only_rename_tracking(self, repo_builder, logged):
+        wrapper, take = logged
+        first = repo_builder.commit({"old_name.py": BASE})
+        repo_builder.commit({"old_name.py": None, "new_name.py": BASE})
+        third = repo_builder.commit({"new_name.py": BASE.replace("line 11", "line XI")})
+        source = Region(first, "old_name.py", make_range(2, 1, 2, 6))
+        result = map_region(repo_builder.path, source, third, git_bin=wrapper)
+        assert result.target_file == "new_name.py"
+        # Rename tracking: an ancestry check, the rename log and a read of
+        # the renamed file.
+        assert Counter(call[0] for call in take()) == {
+            "cat-file": 2, "diff": 4, "merge-base": 1, "log": 1,
+        }
+
+    def test_evaluation_adds_nothing(self, repo_builder, logged):
+        wrapper, take = logged
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": text(["head"]) + BASE})
+        source = Region(first, "f.py", make_range(7, 1, 7, 6))
+        map_region(repo_builder.path, source, second, git_bin=wrapper)
+        mapped = take()
+        expected = Region(second, "f.py", make_range(8, 1, 8, 6))
+        record = EvalRecord(str(repo_builder.path), source, second, expected)
+        result = evaluate_record(record, SelectionConfig(), git_bin=wrapper)
+        assert result.outcome.is_exact
+        assert sorted(take()) == sorted(mapped)  # concurrent diffs log in any order
