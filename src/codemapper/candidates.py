@@ -3,13 +3,14 @@
 Classifies the positional relationship between each hunk and the source
 region, derives coarse candidate regions per relationship with line-offset
 accounting for hunks above, and refines candidate boundaries to character
-precision using word-level fragments.
+precision through each hunk's word alignment.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from os.path import commonprefix
 
-from codemapper.diffparse import FragmentKind, FragmentLine, Hunk
+from codemapper.diffparse import Hunk, WordAlignment, align
 from codemapper.gitio import Algorithm
 from codemapper.regions import (
     DELETED,
@@ -17,7 +18,9 @@ from codemapper.regions import (
     DeletedRegion,
     Region,
     line_count,
+    line_start,
     line_text,
+    position_of_offset,
 )
 
 
@@ -144,243 +147,185 @@ def _clamped(text: str, l1: int, c1: int, l2: int, c2: int) -> CharacterRange | 
 # -- refinement --------------------------------------------------------------
 
 
-def _source_units(fragment_lines, hunk: Hunk) -> list[FragmentLine]:
-    return sorted(
-        (
-            u
-            for u in fragment_lines
-            if u.source_line is not None
-            and hunk.source_start <= u.source_line <= hunk.source_end
-        ),
-        key=lambda u: u.source_line,
-    )
-
-
-def _first_target_line_after(fragment_lines, source_line: int) -> int | None:
-    best = None
-    for unit in fragment_lines:
-        if unit.target_line is None or not unit.target_text:
-            continue
-        if unit.source_line is not None and unit.source_line <= source_line:
-            continue
-        if best is None or unit.target_line < best:
-            best = unit.target_line
-    return best
-
-
-def _last_target_line_before(fragment_lines, source_line: int) -> tuple[int, int] | None:
-    best = None
-    for unit in fragment_lines:
-        if unit.target_line is None or not unit.target_text:
-            continue
-        if unit.source_line is not None and unit.source_line >= source_line:
-            continue
-        if best is None or unit.target_line > best[0]:
-            best = (unit.target_line, len(unit.target_text))
-    return best
-
-
-def refine_start(
-    source_range: CharacterRange,
-    ref_hunk: Hunk,
-    coarse_range: CharacterRange,
-    word_fragments,
-) -> CharacterRange:
-    """Advance the candidate start past characters not in the source region.
-
-    Walks the fragments of the modified line aligned with the source start,
-    keeping per-side character cursors; inside a deletion the start position
-    transfers into the replacement fragment. Returns the coarse range
-    unchanged when no usable modified line exists (refinement skipped).
-    """
-    units = _source_units(word_fragments, ref_hunk)
-    anchor_line = max(source_range.l1, ref_hunk.source_start)
-    anchor = next((u for u in units if u.source_line >= anchor_line), None)
-    if anchor is None:
-        return coarse_range
-    col_wanted = source_range.c1 if anchor.source_line == source_range.l1 else 1
-
-    src_i = cnd_i = 0
-    found: tuple[int, int] | None = None
-    frags = anchor.fragments
-    for idx, frag in enumerate(frags):
-        flen = len(frag.text)
-        if frag.kind is FragmentKind.UNCHANGED:
-            if src_i < col_wanted <= src_i + flen:
-                if anchor.target_line is not None:
-                    found = (anchor.target_line, cnd_i + (col_wanted - src_i))
-                break
-            src_i += flen
-            cnd_i += flen
-        elif frag.kind is FragmentKind.DELETED:
-            if src_i < col_wanted <= src_i + flen:
-                found = _transfer_start(anchor, word_fragments, frags, idx, cnd_i, col_wanted - src_i - 1)
-                break
-            src_i += flen
-        else:
-            cnd_i += flen
-    if found is None:
-        return coarse_range
-    line, col = found
-    if (line, col) < (coarse_range.l1, coarse_range.c1):
-        return coarse_range
-    if (line, col) > (coarse_range.l2, coarse_range.c2):
-        return coarse_range
-    return CharacterRange(line, col, coarse_range.l2, coarse_range.c2)
-
-
-def _transfer_start(anchor, all_units, frags, del_idx, cnd_i, offset) -> tuple[int, int] | None:
-    """Start position when the source start sits inside a deleted fragment.
+def _start_in_replacement(deleted: str, offset: int, replacement: str) -> int:
+    """Index in `replacement` where a start at `deleted[offset]` lands.
 
     The covered tail of the deletion anchors to a matching suffix of the
     replacement (a token that grew a prefix); otherwise the uncovered prefix
     is excluded when the replacement shares it; otherwise the offset
     transfers positionally.
     """
-    deleted = frags[del_idx].text
-    for frag in frags[del_idx + 1 :]:
-        if frag.kind is FragmentKind.DELETED:
-            continue
-        if anchor.target_line is None:
-            return None
-        if frag.kind is FragmentKind.UNCHANGED:
-            # No replacement: the first surviving character opens the range.
-            return anchor.target_line, cnd_i + 1
-        covered = deleted[offset:]
-        prefix = deleted[:offset]
-        if covered and frag.text.endswith(covered):
-            skip = len(frag.text) - len(covered)
-        elif prefix and frag.text.startswith(prefix):
-            skip = len(prefix)
-        elif not prefix:
-            skip = 0
-        elif offset < len(frag.text):
-            skip = offset
-        else:
-            skip = 0
-        return anchor.target_line, cnd_i + skip + 1
-    # The whole rest of the line was deleted: next line with target content.
-    line = _first_target_line_after(all_units, anchor.source_line)
-    if line is None:
+    covered, prefix = deleted[offset:], deleted[:offset]
+    if replacement.endswith(covered):
+        return len(replacement) - len(covered)
+    if prefix and replacement.startswith(prefix):
+        return len(prefix)
+    if prefix and offset < len(replacement):
+        return offset
+    return 0
+
+
+def _end_in_replacement(deleted: str, offset: int, replacement: str) -> int:
+    """How many leading characters of `replacement` an end at
+    `deleted[offset]` covers.
+
+    The excluded tail of the deletion anchors to a matching suffix of the
+    replacement; a covered part that prefixes the replacement closes the
+    range right after it (a token that grew a suffix); a replacement sharing
+    neither affix is taken whole, matching the worked example where a
+    region ending at a replaced token's last character covers the entire
+    replacement token.
+    """
+    excluded, covered = deleted[offset + 1 :], deleted[: offset + 1]
+    if excluded and replacement.endswith(excluded) and len(replacement) > len(excluded):
+        return len(replacement) - len(excluded)
+    if replacement.startswith(covered):
+        return len(covered)
+    if not excluded:
+        shared_suffix = len(commonprefix([covered[::-1], replacement[::-1]]))
+        shared_prefix = len(commonprefix([covered, replacement]))
+        if shared_prefix > 0 and shared_suffix == 0 and len(replacement) > len(covered):
+            # The tail behind the shared stem grew: stop at the stem.
+            return shared_prefix
+        # A preserved ending, a wholesale replacement, or a same-size/shrunk
+        # tail: the whole replacement closes it.
+        return len(replacement)
+    if offset < len(replacement):
+        return offset + 1
+    return len(replacement)
+
+
+def _line_span(text: str, offset: int) -> tuple[int, int]:
+    """Offsets [start, end) of the line holding `offset`, newline excluded."""
+    line, col = position_of_offset(text, offset)
+    return offset - col + 1, line_start(text, line + 1) - 1
+
+
+def _space_walk(text: str, t: int, steps: int) -> int:
+    """Move from offset `t` by up to `steps` characters (backward when
+    negative), onto whitespace within its line only."""
+    step = 1 if steps > 0 else -1
+    for _ in range(abs(steps)):
+        nxt = t + step
+        if not 0 <= nxt < len(text) or text[nxt] == "\n" or not text[nxt].isspace():
+            break
+        t = nxt
+    return t
+
+
+def _map_endpoint(alignment: WordAlignment, source_text, target_text, offset, at_end):
+    """Target offset of the region endpoint at source `offset`, or None when
+    the alignment does not place it.
+
+    A kept character maps to its target character. A whitespace endpoint in
+    a line's leading indent takes the same column of the target line where
+    the line's first character went, at most up to that line's indent. Any
+    other whitespace endpoint counts from the nearest kept neighbour on its
+    line with no deleted text in between, over target whitespace only.
+    Inside a deleted run the affix rules place it in the run's replacement:
+    the added text of its gap on the target line of the run's next kept
+    neighbour on its source line, else of its previous one, else on the
+    gap's first target line.
+    """
+    s0, kept = alignment.source_start, alignment.kept
+    i = offset - s0
+    if not 0 <= i < len(kept):
         return None
-    return line, 1
+    if kept[i] >= 0:
+        return kept[i]
+    # Kept characters around the endpoint, anywhere in the hunk.
+    prev = next((j for j in range(i - 1, -1, -1) if kept[j] >= 0), -1)
+    after = next((j for j in range(i + 1, len(kept)) if kept[j] >= 0), len(kept))
+    lo, hi = (x - s0 for x in _line_span(source_text, offset))
+    neighbours = [j for j in (prev, after) if lo <= j < hi]
+    run = [
+        j
+        for j in range(max(lo, prev + 1), min(hi, after))
+        if not source_text[s0 + j].isspace()
+    ]
+    if not run or not run[0] <= i <= run[-1]:
+        if prev < lo and (not run or i < run[0]):
+            # Leading indent: nothing of the line lies before the endpoint.
+            first = run[0] if run else after
+            if first >= hi:
+                return None
+            found = _map_endpoint(alignment, source_text, target_text, s0 + first, False)
+            if found is None:
+                return None
+            t_lo, t_hi = _line_span(target_text, found)
+            line = target_text[t_lo:t_hi]
+            return t_lo + min(i - lo, len(line) - len(line.lstrip()), len(line) - 1)
+        free = [j for j in neighbours if not run or (j > i) == (run[-1] < i)]
+        if not free:
+            return None
+        near = min(free, key=lambda j: abs(j - i))
+        return _space_walk(target_text, kept[near], i - near)
+
+    gap_lo = alignment.target_start if prev < 0 else kept[prev] + 1
+    gap_hi = alignment.target_end if after == len(kept) else kept[after]
+    if neighbours:
+        anchor = kept[neighbours[-1]]
+    else:
+        anchor = next((t for t in range(gap_lo, gap_hi) if not target_text[t].isspace()), None)
+    replacement = ""
+    if anchor is not None:
+        t_lo, t_hi = _line_span(target_text, anchor)
+        r_lo = max(gap_lo, t_lo)
+        text = target_text[r_lo : min(gap_hi, t_hi)]
+        replacement = text.strip()
+        r_lo += len(text) - len(text.lstrip())
+    if not replacement:
+        # No replacement: the nearest survivor outside the deletion closes it.
+        survivor = prev if at_end else after
+        return kept[survivor] if 0 <= survivor < len(kept) else None
+    deleted = source_text[s0 + run[0] : s0 + run[-1] + 1]
+    if at_end:
+        return r_lo + _end_in_replacement(deleted, i - run[0], replacement) - 1
+    return r_lo + _start_in_replacement(deleted, i - run[0], replacement)
+
+
+def _target_position(alignment, source_text, target_text, position, coarse_range, at_end):
+    """Where the endpoint at source (line, col) `position` went, if the
+    alignment places it inside the coarse range."""
+    line, col = position
+    offset = line_start(source_text, line) + col - 1
+    found = _map_endpoint(alignment, source_text, target_text, offset, at_end)
+    if found is None or found >= len(target_text):
+        return None
+    found = position_of_offset(target_text, found)
+    return found if coarse_range.start <= found <= coarse_range.end else None
+
+
+def refine_start(
+    source_range: CharacterRange,
+    alignment: WordAlignment,
+    coarse_range: CharacterRange,
+    source_text: str,
+    target_text: str,
+) -> CharacterRange:
+    """Move the candidate start to where the region's first character went.
+
+    Returns the coarse range unchanged when the alignment does not place the
+    start inside it (refinement skipped).
+    """
+    found = _target_position(
+        alignment, source_text, target_text, source_range.start, coarse_range, False
+    )
+    return coarse_range if found is None else CharacterRange(*found, *coarse_range.end)
 
 
 def refine_end(
     source_range: CharacterRange,
-    ref_hunk: Hunk,
+    alignment: WordAlignment,
     coarse_range: CharacterRange,
-    word_fragments,
+    source_text: str,
+    target_text: str,
 ) -> CharacterRange:
-    """Mirror of refine_start, anchored at the last modified line.
-
-    The fragment walk runs forward like refine_start but resolves the
-    source END column, trimming trailing characters not in the region.
-    """
-    units = _source_units(word_fragments, ref_hunk)
-    anchor_line = min(source_range.l2, ref_hunk.source_end)
-    anchor = next((u for u in reversed(units) if u.source_line <= anchor_line), None)
-    if anchor is None:
-        return coarse_range
-    if anchor.source_line == source_range.l2:
-        col_wanted = source_range.c2
-    else:
-        col_wanted = len(anchor.source_text)
-
-    src_i = cnd_i = 0
-    found: tuple[int, int] | None = None
-    frags = anchor.fragments
-    for idx, frag in enumerate(frags):
-        flen = len(frag.text)
-        if frag.kind is FragmentKind.UNCHANGED:
-            if src_i < col_wanted <= src_i + flen:
-                if anchor.target_line is not None:
-                    found = (anchor.target_line, cnd_i + (col_wanted - src_i))
-                break
-            src_i += flen
-            cnd_i += flen
-        elif frag.kind is FragmentKind.DELETED:
-            if src_i < col_wanted <= src_i + flen:
-                found = _transfer_end(anchor, word_fragments, frags, idx, cnd_i, col_wanted - src_i - 1)
-                break
-            src_i += flen
-        else:
-            cnd_i += flen
-    else:
-        # End beyond the anchor's source content: close at the line's end.
-        if anchor.target_line is not None and anchor.target_text:
-            found = (anchor.target_line, len(anchor.target_text))
-    if found is None:
-        return coarse_range
-    line, col = found
-    if col < 1 or (line, col) > (coarse_range.l2, coarse_range.c2):
-        return coarse_range
-    if (line, col) < (coarse_range.l1, coarse_range.c1):
-        return coarse_range
-    return CharacterRange(coarse_range.l1, coarse_range.c1, line, col)
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _transfer_end(anchor, all_units, frags, del_idx, cnd_i, offset) -> tuple[int, int] | None:
-    """End position when the source end sits inside a deleted fragment.
-
-    `offset` is the 0-based position of the end character within the deleted
-    fragment. The excluded tail of the deletion anchors to a matching suffix
-    of the replacement; a covered part that prefixes the replacement closes
-    the range right after it (a token that grew a suffix); a replacement
-    sharing neither affix is taken whole, matching the worked example where
-    a region ending at a replaced token's last character covers the entire
-    replacement token.
-    """
-    deleted = frags[del_idx].text
-    excluded = deleted[offset + 1 :]
-    covered = deleted[: offset + 1]
-    for frag in frags[del_idx + 1 :]:
-        if frag.kind is FragmentKind.DELETED:
-            continue
-        if anchor.target_line is None:
-            return None
-        if frag.kind is FragmentKind.UNCHANGED:
-            # No replacement: the deleted tail ends before the survivors.
-            return (anchor.target_line, cnd_i) if cnd_i else None
-        if excluded and frag.text.endswith(excluded) and len(frag.text) > len(excluded):
-            skip = len(frag.text) - len(excluded)
-        elif covered and frag.text.startswith(covered):
-            skip = len(covered)
-        elif not excluded:
-            shared_suffix = _common_prefix_len(covered[::-1], frag.text[::-1])
-            shared_prefix = _common_prefix_len(covered, frag.text)
-            if shared_prefix > 0 and shared_suffix == 0 and len(frag.text) > len(covered):
-                # The tail behind the shared stem grew: stop at the stem.
-                skip = shared_prefix
-            else:
-                # A preserved ending, a wholesale replacement, or a
-                # same-size/shrunk tail: the whole replacement closes it.
-                skip = len(frag.text)
-        elif offset < len(frag.text):
-            skip = offset + 1
-        else:
-            skip = len(frag.text)
-        return anchor.target_line, cnd_i + skip
-    # Nothing on the target side after the deletion: the line's target
-    # content (all of it before the deleted tail) closes the range.
-    if anchor.target_line is not None:
-        tgt_len = len(anchor.target_text)
-        if tgt_len:
-            return anchor.target_line, tgt_len
-        return None
-    placed = _last_target_line_before(all_units, anchor.source_line)
-    if placed is None:
-        return None
-    return placed
+    """Mirror of refine_start for the region's last character."""
+    found = _target_position(
+        alignment, source_text, target_text, source_range.end, coarse_range, True
+    )
+    return coarse_range if found is None else CharacterRange(*coarse_range.start, *found)
 
 
 # -- extraction ---------------------------------------------------------------
@@ -397,7 +342,7 @@ def extract_diff_candidates(
 ) -> list[Candidate]:
     """Phase-1 diff candidates from all deduplicated reports.
 
-    Each report's candidates are refined with the word fragments of its own
+    Each report's candidates are refined with the word alignment of its own
     hunks. No reports at all means the contents are identical, so the region
     maps onto itself.
     """
@@ -407,9 +352,17 @@ def extract_diff_candidates(
             return []
         return [Candidate(Region(target_commit, target_file, identity), Origin.DIFF)]
 
+    alignments: dict[tuple[Hunk, str], WordAlignment] = {}
+
+    def aligned(hunk: Hunk) -> WordAlignment:
+        # Reports whose hunks share bounds and body share one alignment.
+        key = (hunk, hunk.body)
+        if key not in alignments:
+            alignments[key] = align(hunk, source_text, target_text)
+        return alignments[key]
+
     out: list[Candidate] = []
     for report in reports:
-        fragments = tuple(fl for hunk in report.hunks for fl in hunk.line_fragments)
         out.extend(
             _extract_from_report(
                 report,
@@ -418,8 +371,7 @@ def extract_diff_candidates(
                 target_text,
                 target_file,
                 target_commit,
-                fragments,
-                refine,
+                aligned if refine else None,
             )
         )
     return dedup_candidates(out)
@@ -432,8 +384,7 @@ def _extract_from_report(
     target_text,
     target_file,
     target_commit,
-    word_fragments,
-    refine,
+    aligned,
 ) -> list[Candidate]:
     r1, r2 = source_range.l1, source_range.l2
     region_lines = frozenset(range(r1, r2 + 1))
@@ -465,30 +416,27 @@ def _extract_from_report(
     def source_line_len(line: int) -> int:
         return len(line_text(source_text, line)) if line <= line_count(source_text) else 0
 
-    def as_candidate(rng: CharacterRange | None) -> Candidate | None:
-        if rng is None:
-            return None
-        return Candidate(Region(target_commit, target_file, rng), Origin.DIFF)
+    def refined(coarse: CharacterRange | None, hunk: Hunk, *refiners) -> CharacterRange | None:
+        # An empty target block places no endpoint; refinement is a no-op there.
+        if coarse is None or not aligned or hunk.target_is_empty:
+            return coarse
+        rng, alignment = coarse, aligned(hunk)
+        for refine in refiners:
+            rng = refine(source_range, alignment, rng, source_text, target_text)
+        return _clamped(target_text, *rng.as_tuple()) or coarse
 
     candidates: list[Candidate] = []
 
-    def add(cand: Candidate | None):
-        if cand is not None:
-            candidates.append(cand)
+    def add(rng: CharacterRange | None):
+        if rng is not None:
+            candidates.append(Candidate(Region(target_commit, target_file, rng), Origin.DIFF))
 
+    # The region's endpoints shifted by the line delta of the hunks above
+    # each (middle hunks included): the untouched and the flank candidate.
+    shifted = _clamped(target_text, map_line(r1), source_range.c1, map_line(r2), source_range.c2)
     if full is None and top is None and bottom is None and not middles:
         # Region untouched by this report: shift by the net line delta above.
-        add(
-            as_candidate(
-                _clamped(
-                    target_text,
-                    map_line(r1),
-                    source_range.c1,
-                    map_line(r2),
-                    source_range.c2,
-                )
-            )
-        )
+        add(shifted)
         return candidates
 
     if full is not None:
@@ -496,13 +444,7 @@ def _extract_from_report(
             candidates.append(Candidate(DELETED, Origin.DIFF, source_hunk=full))
         else:
             coarse = _clamped(target_text, full.target_start, 1, full.target_end, 10**9)
-            if coarse is not None:
-                rng = coarse
-                if refine:
-                    rng = refine_start(source_range, full, rng, word_fragments)
-                    rng = refine_end(source_range, full, rng, word_fragments)
-                    rng = _clamped(target_text, *rng.as_tuple()) or coarse
-                add(as_candidate(rng))
+            add(refined(coarse, full, refine_start, refine_end))
 
     top_refined = bottom_refined = None
 
@@ -514,13 +456,8 @@ def _extract_from_report(
         end_src = r2 if barrier is None else min(r2, barrier - 1)
         end_col = source_range.c2 if end_src == r2 else source_line_len(end_src)
         coarse = _clamped(target_text, top.target_start, 1, map_line(end_src), end_col)
-        if coarse is not None:
-            rng = coarse
-            if refine:
-                rng = refine_start(source_range, top, rng, word_fragments)
-                rng = _clamped(target_text, *rng.as_tuple()) or coarse
-            top_refined = rng
-            add(as_candidate(rng))
+        top_refined = refined(coarse, top, refine_start)
+        add(top_refined)
 
     if bottom is not None:
         barrier = max(
@@ -532,37 +469,14 @@ def _extract_from_report(
         # For an empty target block, target_end is the last line before the
         # deletion point, i.e. the mapped position of the surviving head.
         coarse = _clamped(target_text, map_line(start_src), start_col, bottom.target_end, 10**9)
-        if coarse is not None:
-            rng = coarse
-            if refine and not bottom.target_is_empty:
-                rng = refine_end(source_range, bottom, rng, word_fragments)
-                rng = _clamped(target_text, *rng.as_tuple()) or coarse
-            bottom_refined = rng
-            add(as_candidate(rng))
+        bottom_refined = refined(coarse, bottom, refine_end)
+        add(bottom_refined)
 
     if top_refined is not None and bottom_refined is not None:
-        merged = _clamped(
-            target_text,
-            top_refined.l1,
-            top_refined.c1,
-            bottom_refined.l2,
-            bottom_refined.c2,
-        )
-        add(as_candidate(merged))
+        add(_clamped(target_text, *top_refined.start, *bottom_refined.end))
 
     if middles:
-        # Flank-derived candidate: both endpoints are unchanged lines mapped
-        # through the offset accounting, which already includes the middles.
-        add(
-            as_candidate(
-                _clamped(
-                    target_text,
-                    map_line(r1),
-                    source_range.c1,
-                    map_line(r2),
-                    source_range.c2,
-                )
-            )
-        )
+        # Flank-derived candidate.
+        add(shifted)
 
     return candidates

@@ -1,4 +1,5 @@
-"""Parse porcelain word-level diff output into hunks.
+"""Parse porcelain word-level diff output into hunks, and place each
+hunk's word fragments on the real source and target texts.
 
 Accepts exactly the format produced by the git gateway's pinned invocation
 flags (--unified=0 --word-diff=porcelain); a captured sample lives in
@@ -6,8 +7,10 @@ docs/diff-formats.md.
 """
 
 import re
-from dataclasses import dataclass
-from enum import Enum
+from array import array
+from dataclasses import dataclass, field
+
+from codemapper.regions import line_count, line_start
 
 
 class MalformedDiff(ValueError):
@@ -17,62 +20,19 @@ class MalformedDiff(ValueError):
 HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
-class FragmentKind(Enum):
-    DELETED = "deleted"
-    ADDED = "added"
-    UNCHANGED = "unchanged"
-
-
-@dataclass(frozen=True)
-class Fragment:
-    kind: FragmentKind
-    text: str
-
-
-@dataclass(frozen=True)
-class FragmentLine:
-    """Intra-line fragments of one diff line unit.
-
-    A unit consumes a source line, a target line, or both. Unchanged
-    fragments carry the post-image whitespace, so target_text reconstructs
-    the target line exactly, while source_text can drift by whitespace when
-    an edit changed the spacing between words.
-    """
-
-    source_line: int | None
-    target_line: int | None
-    fragments: tuple[Fragment, ...]
-
-    @property
-    def source_text(self) -> str:
-        return "".join(
-            f.text for f in self.fragments if f.kind is not FragmentKind.ADDED
-        )
-
-    @property
-    def target_text(self) -> str:
-        return "".join(
-            f.text for f in self.fragments if f.kind is not FragmentKind.DELETED
-        )
-
-
 @dataclass(frozen=True)
 class Hunk:
-    """Contiguous changed block; an empty side is encoded as end = start - 1."""
+    """Contiguous changed block; an empty side is encoded as end = start - 1.
+
+    `body` is the hunk's porcelain word-diff text, one fragment per line;
+    `align` places it on the two texts.
+    """
 
     source_start: int
     source_end: int
     target_start: int
     target_end: int
-    line_fragments: tuple[FragmentLine, ...] = ()
-
-    @property
-    def source_size(self) -> int:
-        return self.source_end - self.source_start + 1
-
-    @property
-    def target_size(self) -> int:
-        return self.target_end - self.target_start + 1
+    body: str = field(default="", repr=False, compare=False)
 
     @property
     def source_is_empty(self) -> bool:
@@ -86,11 +46,24 @@ class Hunk:
         return range(self.source_start, self.source_end + 1)
 
     def line_delta(self) -> int:
-        return self.target_size - self.source_size
+        return (self.target_end - self.target_start) - (self.source_end - self.source_start)
 
 
-def _report_text(report) -> str:
-    return report if isinstance(report, str) else report.text
+@dataclass(frozen=True)
+class WordAlignment:
+    """Where git's word diff put one hunk's characters.
+
+    The hunk's source block is source_text[source_start:source_end] and its
+    target block target_text[target_start:target_end]. `kept[i]` is the
+    target offset that source character source_start + i was kept as, or -1
+    when it was deleted or is whitespace; kept offsets strictly increase.
+    """
+
+    source_start: int
+    source_end: int
+    target_start: int
+    target_end: int
+    kept: array = field(repr=False)
 
 
 def _parse_header(line: str) -> tuple[int, int, int, int]:
@@ -106,90 +79,69 @@ def _parse_header(line: str) -> tuple[int, int, int, int]:
     return source_start, source_end, target_start, target_end
 
 
-_FRAGMENT_PREFIX = {
-    " ": FragmentKind.UNCHANGED,
-    "-": FragmentKind.DELETED,
-    "+": FragmentKind.ADDED,
-}
-
-
-def _assign_unit_lines(units, bounds) -> list[FragmentLine]:
-    """Attach source/target line numbers to raw fragment units.
-
-    A unit consumes a source line if it has deleted or unchanged content and
-    a target line if it has added or unchanged content. Units representing
-    empty lines carry no fragments at all, so leftover line quota from the
-    @@ header is distributed to them (and then to any unit missing a side).
-    """
-    source_start, source_end, target_start, target_end = bounds
-    needs_src = [any(f.kind is not FragmentKind.ADDED for f in unit) for unit in units]
-    needs_tgt = [any(f.kind is not FragmentKind.DELETED for f in unit) for unit in units]
-    slack_src = (source_end - source_start + 1) - sum(needs_src)
-    slack_tgt = (target_end - target_start + 1) - sum(needs_tgt)
-    for i, unit in enumerate(units):
-        if unit:
-            continue
-        if slack_src > 0 and not needs_src[i]:
-            needs_src[i] = True
-            slack_src -= 1
-        elif slack_tgt > 0 and not needs_tgt[i]:
-            needs_tgt[i] = True
-            slack_tgt -= 1
-    for i in range(len(units)):
-        if slack_src > 0 and not needs_src[i]:
-            needs_src[i] = True
-            slack_src -= 1
-        if slack_tgt > 0 and not needs_tgt[i]:
-            needs_tgt[i] = True
-            slack_tgt -= 1
-
-    lines: list[FragmentLine] = []
-    src, tgt = source_start, target_start
-    for i, unit in enumerate(units):
-        source_line = target_line = None
-        if needs_src[i]:
-            source_line = src
-            src += 1
-        if needs_tgt[i]:
-            target_line = tgt
-            tgt += 1
-        lines.append(FragmentLine(source_line, target_line, tuple(unit)))
-    return lines
-
-
 def parse_word_diff(report) -> list[Hunk]:
-    """Hunks of a porcelain word-level report, with per-line fragments."""
-    text = _report_text(report)
-    hunks: list[Hunk] = []
-    bounds = None
-    units: list[list[Fragment]] = []
-    current: list[Fragment] = []
+    """Hunks of a porcelain word-level report, each with its raw body.
 
-    def close():
-        if bounds is None:
-            return
-        if current:
-            units.append(list(current))  # defensive: git always emits a closing ~
-        fragment_lines = tuple(_assign_unit_lines(units, bounds))
-        hunks.append(Hunk(*bounds, line_fragments=fragment_lines))
-
-    for line in text.splitlines():
-        if line.startswith("@@"):
-            close()
-            bounds = _parse_header(line)
-            units = []
-            current = []
-        elif bounds is None:
-            continue
-        elif line == "~":
-            units.append(list(current))
-            current = []
-        elif line[:1] in _FRAGMENT_PREFIX:
-            current.append(Fragment(_FRAGMENT_PREFIX[line[0]], line[1:]))
-        elif line.startswith("\\"):
-            continue
-        else:
-            raise MalformedDiff(f"unexpected word-diff line: {line!r}")
-    close()
+    Git ends lines with "\\n" only; a form feed or U+2028 inside a fragment
+    belongs to the fragment. Body lines never start with "@", so every line
+    that does is a hunk header.
+    """
+    text = report if isinstance(report, str) else report.text
+    chunks = ("\n" + text).split("\n@@")
+    hunks = []
+    for chunk in chunks[1:]:  # chunks[0] is the file header
+        header, _, body = chunk.partition("\n")
+        hunks.append(Hunk(*_parse_header("@@" + header), body=body.removesuffix("\n")))
     hunks.sort(key=lambda h: (h.source_start, h.target_start))
     return hunks
+
+
+def _block(text: str, first: int, last: int) -> tuple[int, int]:
+    """Offsets [start, end) of lines first..last of `text`, newlines included."""
+    if first < 1 or last > line_count(text):
+        raise MalformedDiff(f"lines {first}..{last} are not in a text of {line_count(text)} lines")
+    end = len(text)
+    return min(line_start(text, first), end), min(line_start(text, last + 1), end)
+
+
+def align(hunk: Hunk, source_text: str, target_text: str) -> WordAlignment:
+    """Place the hunk's fragments on the two texts.
+
+    Unchanged and added fragments are target text verbatim; newlines, which
+    `~` lines stand for, are skipped before each one. Unchanged and deleted
+    fragments hold the source block's non-space characters in order (git's
+    words hold no whitespace, and unchanged fragments carry the target's
+    spacing), so whitespace is skipped on both sides there. Any mismatch, or
+    non-space text left unplaced, raises MalformedDiff.
+    """
+    s0, s_end = _block(source_text, hunk.source_start, hunk.source_end)
+    t0, t_end = _block(target_text, hunk.target_start, hunk.target_end)
+    kept = array("q", [-1]) * (s_end - s0)
+    s, t = s0, t0
+    for line in hunk.body.split("\n") if hunk.body else ():
+        tag, fragment = line[:1], line[1:]
+        if line == "~" or tag == "\\":
+            continue
+        if tag not in (" ", "-", "+"):
+            raise MalformedDiff(f"unexpected word-diff line: {line!r}")
+        if tag != "-":
+            while t < t_end and target_text[t] == "\n":
+                t += 1
+            if t + len(fragment) > t_end or not target_text.startswith(fragment, t):
+                raise MalformedDiff(f"fragment {fragment!r} is not in the target at {t}")
+        if tag != "+":
+            for j, char in enumerate(fragment):
+                if char.isspace():
+                    continue
+                while s < s_end and source_text[s].isspace():
+                    s += 1
+                if s == s_end or source_text[s] != char:
+                    raise MalformedDiff(f"fragment {fragment!r} is not in the source at {s}")
+                if tag == " ":
+                    kept[s - s0] = t + j
+                s += 1
+        if tag != "-":
+            t += len(fragment)
+    if source_text[s:s_end].strip() or target_text[t:t_end].strip():
+        raise MalformedDiff(f"hunk {hunk.source_start},{hunk.target_start} leaves text unplaced")
+    return WordAlignment(s0, s_end, t0, t_end, kept)

@@ -213,16 +213,10 @@ class GitGateway:
         return proc.returncode == 0
 
     def _rename_pairs(self, range_spec: str, *, chronological: bool) -> list[tuple[str, str]]:
-        args = ["log", "--format=%H", "--name-status", "--diff-filter=R", "-M", range_spec]
+        args = ["log", "--format=", "--name-status", "-z", "--diff-filter=R", "-M", range_spec]
         if chronological:
             args.insert(1, "--reverse")
-        proc = self._run(args)
-        pairs = []
-        for line in proc.stdout.decode("utf-8", errors="replace").splitlines():
-            fields = line.split("\t")
-            if len(fields) == 3 and fields[0].startswith("R"):
-                pairs.append((fields[1], fields[2]))
-        return pairs
+        return _renames(self._run(args).stdout)
 
     def _chained_rename(self, src: str, path: str, tgt: str) -> str | None:
         if self._is_ancestor(src, tgt):
@@ -240,12 +234,10 @@ class GitGateway:
         return None
 
     def _endpoint_rename(self, src: str, path: str, tgt: str) -> str | None:
-        proc = self._run(["diff", *DIFF_ISOLATION, "--name-status", "--find-renames", src, tgt])
-        for line in proc.stdout.decode("utf-8", errors="replace").splitlines():
-            fields = line.split("\t")
-            if len(fields) == 3 and fields[0].startswith("R") and fields[1] == path:
-                return fields[2]
-        return None
+        proc = self._run(
+            ["diff", *DIFF_ISOLATION, "--name-status", "-z", "--find-renames", src, tgt]
+        )
+        return next((new for old, new in _renames(proc.stdout) if old == path), None)
 
     # -- diff reports --------------------------------------------------------
 
@@ -317,6 +309,24 @@ class GitGateway:
                     proc.stdout.close()
                     proc.stderr.close()
         return reports
+
+
+def _renames(output: bytes) -> list[tuple[str, str]]:
+    """(old, new) paths of the renames in `--name-status -z` output.
+
+    Each entry is a status field and one path, or two for a rename or copy,
+    all NUL-terminated; paths are raw bytes, never C-quoted, whatever the
+    caller's core.quotePath says.
+    """
+    fields = os.fsdecode(output).split("\0")
+    pairs = []
+    i = 0
+    while i + 1 < len(fields):
+        status = fields[i]
+        if status.startswith("R"):
+            pairs.append((fields[i + 1], fields[i + 2]))
+        i += 3 if status.startswith(("R", "C")) else 2
+    return pairs
 
 
 def _failure(command: str, code: int, stderr: bytes) -> str:

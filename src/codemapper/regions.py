@@ -133,6 +133,14 @@ def line_count(text: str) -> int:
     return len(_starts(text)) - 1
 
 
+def line_start(text: str, k: int) -> int:
+    """Offset of the first character of line k (1-based); for the line
+    after the last one, len(text) + 1."""
+    if k < 1:
+        raise IndexError(f"line {k} out of range")
+    return _starts(text)[k - 1]
+
+
 def line_text(text: str, k: int) -> str:
     """Line k (1-based) of `text`, without its newline."""
     if k < 1:

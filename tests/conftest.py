@@ -5,6 +5,12 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every run tries the same examples, and a property test that spawns git is
+# not failed by hypothesis's 200 ms default deadline on a slow machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 class RepoBuilder:

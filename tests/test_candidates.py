@@ -15,13 +15,7 @@ from codemapper.candidates import (
     refine_end,
     refine_start,
 )
-from codemapper.diffparse import (
-    Fragment,
-    FragmentKind,
-    FragmentLine,
-    Hunk,
-    parse_word_diff,
-)
+from codemapper.diffparse import Hunk, align, parse_word_diff
 from codemapper.gitio import Algorithm, GitGateway
 from codemapper.regions import DELETED, Region, extract_text, make_range
 
@@ -166,67 +160,52 @@ class TestExtraction:
 
 
 class TestRefineDirect:
-    """Direct refinement checks on hand-built fragment lines."""
+    """Direct refinement checks on hand-built and git-made alignments."""
+
+    SOURCE = lines_to_text(["before", "x = values.old", "after"])
+    TARGET = lines_to_text(["before", "x = values.updated", "after"])
 
     def fig4_parts(self):
-        fragments = FragmentLine(
-            source_line=2,
-            target_line=2,
-            fragments=(
-                Fragment(FragmentKind.UNCHANGED, "x = values."),
-                Fragment(FragmentKind.DELETED, "old"),
-                Fragment(FragmentKind.ADDED, "updated"),
-            ),
-        )
-        ref = Hunk(2, 2, 2, 2)
+        ref = Hunk(2, 2, 2, 2, body=" x = values.\n-old\n+updated\n~")
         coarse = make_range(2, 1, 2, 18)
-        return ref, coarse, (fragments,)
+        return align(ref, self.SOURCE, self.TARGET), coarse
 
     def test_refine_start_excludes_shared_prefix(self):
-        ref, coarse, frags = self.fig4_parts()
-        refined = refine_start(make_range(2, 12, 2, 14), ref, coarse, frags)
+        alignment, coarse = self.fig4_parts()
+        refined = refine_start(make_range(2, 12, 2, 14), alignment, coarse, self.SOURCE, self.TARGET)
         assert (refined.l1, refined.c1) == (2, 12)
 
     def test_refine_end_keeps_whole_replacement(self):
-        ref, coarse, frags = self.fig4_parts()
-        refined = refine_end(make_range(2, 12, 2, 14), ref, coarse, frags)
+        alignment, coarse = self.fig4_parts()
+        refined = refine_end(make_range(2, 12, 2, 14), alignment, coarse, self.SOURCE, self.TARGET)
         assert (refined.l2, refined.c2) == (2, 18)
 
     def test_start_at_column_one_of_rewritten_line(self):
-        fragments = FragmentLine(
-            source_line=1,
-            target_line=1,
-            fragments=(
-                Fragment(FragmentKind.DELETED, "entire old line"),
-                Fragment(FragmentKind.ADDED, "brand new text"),
-            ),
-        )
-        ref = Hunk(1, 1, 1, 1)
+        source, target = "entire old line\n", "brand new text\n"
+        ref = Hunk(1, 1, 1, 1, body="-entire old line\n+brand new text\n~")
         coarse = make_range(1, 1, 1, 14)
-        refined = refine_start(make_range(1, 1, 1, 15), ref, coarse, (fragments,))
+        alignment = align(ref, source, target)
+        refined = refine_start(make_range(1, 1, 1, 15), alignment, coarse, source, target)
         assert (refined.l1, refined.c1) == (1, 1)
 
     def test_no_delete_returns_coarse(self):
-        fragments = FragmentLine(
-            source_line=None,
-            target_line=1,
-            fragments=(Fragment(FragmentKind.ADDED, "added only"),),
-        )
-        ref = Hunk(1, 0, 1, 1)  # pure insertion
+        source, target = "", "added only\n"
+        alignment = align(Hunk(1, 0, 1, 1, body="+added only\n~"), source, target)  # pure insertion
         coarse = make_range(1, 1, 1, 10)
-        assert refine_start(make_range(1, 1, 1, 5), ref, coarse, (fragments,)) == coarse
-        assert refine_end(make_range(1, 1, 1, 5), ref, coarse, (fragments,)) == coarse
+        region = make_range(1, 1, 1, 5)
+        assert refine_start(region, alignment, coarse, source, target) == coarse
+        assert refine_end(region, alignment, coarse, source, target) == coarse
 
     def test_mid_line_substitution(self, gateway):
         # "aa bb cc" -> "aa XX cc" with the region covering "bb cc"
         source = "aa bb cc\n"
         target = "aa XX cc\n"
         report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
-        word_hunk = parse_word_diff(report)[0]
+        alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(1, 1, 1, 8)
-        refined = refine_start(make_range(1, 4, 1, 8), word_hunk, coarse, word_hunk.line_fragments)
+        refined = refine_start(make_range(1, 4, 1, 8), alignment, coarse, source, target)
         assert (refined.l1, refined.c1) == (1, 4)
-        refined = refine_end(make_range(1, 4, 1, 8), word_hunk, refined, word_hunk.line_fragments)
+        refined = refine_end(make_range(1, 4, 1, 8), alignment, refined, source, target)
         assert refined == make_range(1, 4, 1, 8)
 
     def test_mirrored_suffix_case(self, gateway):
@@ -235,12 +214,84 @@ class TestRefineDirect:
         source = "old.values\n"
         target = "updated.values\n"
         report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
-        word_hunk = parse_word_diff(report)[0]
+        alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(1, 1, 1, 14)
         rng = make_range(1, 1, 1, 3)
-        refined = refine_start(rng, word_hunk, coarse, word_hunk.line_fragments)
-        refined = refine_end(rng, word_hunk, refined, word_hunk.line_fragments)
+        refined = refine_start(rng, alignment, coarse, source, target)
+        refined = refine_end(rng, alignment, refined, source, target)
         assert extract_text(target, refined) == "updated"
+
+    def test_whitespace_start_counts_from_its_kept_neighbour(self, gateway):
+        source = "if a:\n    x = old\n"
+        target = "if a:\n    x = new\n"
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
+        alignment = align(parse_word_diff(report)[0], source, target)
+        coarse = make_range(2, 1, 2, 11)
+        refined = refine_start(make_range(2, 1, 2, 11), alignment, coarse, source, target)
+        assert refined == coarse
+        refined = refine_start(make_range(2, 8, 2, 11), alignment, coarse, source, target)
+        assert (refined.l1, refined.c1) == (2, 8)
+
+    @pytest.mark.parametrize(
+        "source, target, rng, expected",
+        [
+            # A leading indent before a renamed first word.
+            ("    total = compute(a, 3)\n", "    amount = compute(a, 3)\n", (1, 1, 1, 25), (1, 1, 1, 26)),
+            # A leading indent before an inserted first word.
+            ("    x = 1\n", "    y, x = 1\n", (1, 1, 1, 9), (1, 1, 1, 12)),
+            # A leading indent that shrank, then vanished.
+            ("    x = 1\n", "  x = 1\n", (1, 3, 1, 9), (1, 3, 1, 7)),
+            ("    x = 1\n", "x = 1\n", (1, 3, 1, 9), (1, 1, 1, 5)),
+            # The end is the space after "x": the nearer kept "b" lies behind
+            # the renamed word, the kept "=" on the side with no deleted text.
+            ("ab x      = 1\n", "ab yyyy      = 1\n", (1, 4, 1, 5), (1, 4, 1, 8)),
+        ],
+    )
+    def test_whitespace_endpoint(self, gateway, source, target, rng, expected):
+        report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
+        alignment = align(parse_word_diff(report)[0], source, target)
+        coarse = make_range(1, 1, 1, len(target) - 1)
+        rng = make_range(*rng)
+        refined = refine_start(rng, alignment, coarse, source, target)
+        assert refine_end(rng, alignment, refined, source, target) == make_range(*expected)
+
+
+class TestRenameBelowInsertedLine:
+    """A token renamed on a line that git's word diff joins to a new line
+    inserted directly above it."""
+
+    def test_renamed_token_stays_on_its_line(self, gateway):
+        source = lines_to_text(["def f(a):", "    x = 1", "    total = compute(a, 3)", "    return x"])
+        target = lines_to_text(
+            ["def f(a):", "    x = 1", "    y = x + 2", "    amount = compute(a, 3)", "    return x"]
+        )
+        candidates = run_extraction(gateway, source, target, make_range(3, 5, 3, 9))
+        assert candidates[0].region.range == make_range(4, 5, 4, 10)
+        assert extract_text(target, candidates[0].region.range) == "amount"
+
+    def test_token_below_a_blank_line_that_became_statements(self, gateway):
+        # An empty source line replaced by two statements, and a rename on
+        # the next line: the word diff holds no fragment for the empty line.
+        source = lines_to_text(
+            [
+                "    delta_a = lookup(zq_alpha, index_b)",
+                "",
+                "    cursor_a = lookup(zq_alpha, entry_b)",
+                "    item_a = lookup(zq_beta, slot_b)",
+            ]
+        )
+        target = lines_to_text(
+            [
+                "    delta_a = lookup(zq_alpha, index_b)",
+                "    buffer_a += queue_b * 779",
+                "    if token_a > 542:",
+                "    value_a = lookup(zq_alpha, entry_b)",
+                "    item_a = lookup(zq_beta, slot_b)",
+            ]
+        )
+        candidates = run_extraction(gateway, source, target, make_range(3, 23, 3, 30))
+        assert extract_text(source, make_range(3, 23, 3, 30)) == "zq_alpha"
+        assert candidates[0].region.range == make_range(4, 22, 4, 29)
 
 
 class TestOffsetAccountingOracle:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from codemapper.diffparse import FragmentKind, parse_word_diff
+from codemapper.diffparse import align, parse_word_diff
 from codemapper.fixtures import build_corpus
 from codemapper.gitio import (
     ALL_CONFIGS,
@@ -129,6 +129,26 @@ class TestResolveTargetFile:
         third = repo_builder.commit({"b.py": BASE + "tail\n"})
         assert self.target_file(repo_builder, third, "b.py", first) == "a.py"
 
+    @pytest.mark.parametrize("quote_path", [None, "false"], ids=["default", "quotePath-false"])
+    def test_non_ascii_rename(self, repo_builder, monkeypatch, quote_path):
+        if quote_path is not None:
+            monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+            monkeypatch.setenv("GIT_CONFIG_KEY_0", "core.quotePath")
+            monkeypatch.setenv("GIT_CONFIG_VALUE_0", quote_path)
+        first = repo_builder.commit({"café.py": BASE})
+        second = repo_builder.commit({"café.py": BASE + "main\n"})
+        third = repo_builder.commit({"café.py": None, "naïve.py": BASE + "main\n"})
+        # A branch that renames the file apart from `second`: neither tip is
+        # an ancestor of the other, so only the endpoint diff finds it.
+        repo_builder._git("checkout", "-q", "-b", "side", first)
+        side = repo_builder.commit({"café.py": None, "naïve.py": BASE + "side\n"})
+        for source_commit, target_commit in [(first, third), (third, first), (second, side)]:
+            path = "naïve.py" if source_commit == third else "café.py"
+            source = Region(source_commit, path, make_range(2, 1, 2, 6))
+            result = map_region(repo_builder.path, source, target_commit)
+            assert result.target_file == ("café.py" if path == "naïve.py" else "naïve.py")
+            assert result.target.range == make_range(2, 1, 2, 6)
+
     def test_deleted_file(self, repo_builder):
         first = repo_builder.commit({"a.py": BASE, "keep.py": "x = 1\n"})
         repo_builder.commit({"a.py": None})
@@ -235,26 +255,19 @@ class TestDiffLocale:
     SOURCE = "x = naïve_value + 1\n"
     TARGET = "x = naïve_count + 1\n"
 
-    def _changed_fragments(self, gateway):
+    def _kept_text(self, gateway):
         report = gateway.diff_texts(self.SOURCE, self.TARGET, algorithms=(Algorithm.MYERS,))[0]
-        return [
-            (f.kind, f.text)
-            for unit in parse_word_diff(report)[0].line_fragments
-            for f in unit.fragments
-            if f.kind is not FragmentKind.UNCHANGED
-        ]
+        alignment = align(parse_word_diff(report)[0], self.SOURCE, self.TARGET)
+        return "".join(self.SOURCE[i] for i, t in enumerate(alignment.kept) if t >= 0)
 
     def test_byte_locale_does_not_split_non_ascii_words(self, repo_builder, monkeypatch):
         # Under LC_ALL=C the word regex splits at "ï", so "naï" reads as unchanged.
         gateway = GitGateway(repo_builder.path)
         monkeypatch.setenv("LC_ALL", "C.UTF-8")
-        clean = self._changed_fragments(gateway)
-        assert clean == [
-            (FragmentKind.DELETED, "naïve_value"),
-            (FragmentKind.ADDED, "naïve_count"),
-        ]
+        clean = self._kept_text(gateway)
+        assert clean == "x=+1"
         monkeypatch.setenv("LC_ALL", "C")
-        assert self._changed_fragments(gateway) == clean
+        assert self._kept_text(gateway) == clean
 
 
 class TestEmptyDiffOutput:

@@ -200,6 +200,17 @@ class TestMapRegion:
         assert isinstance(result.target, Region)
         assert extract_text(v2, result.target.range) == "neu"
 
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"], ids=["form-feed", "U+2028"])
+    def test_edit_on_a_line_holding_a_line_separator(self, repo_builder, separator):
+        # Git splits its output at "\n" only; both characters stay inside
+        # their fragment.
+        before = text(["x = 1", f"total = compute(a){separator}# page", "y = 2"])
+        after = before.replace("total", "amount")
+        first = repo_builder.commit({"f.py": before})
+        second = repo_builder.commit({"f.py": after})
+        result = map_region(repo_builder.path, Region(first, "f.py", make_range(2, 1, 2, 5)), second)
+        assert extract_text(after, result.target.range) == "amount"
+
     def test_crlf_content_is_normalized_consistently(self, repo_builder):
         first = repo_builder.commit({"f.txt": "alpha\r\nbravo\r\ncharlie\r\n"})
         second = repo_builder.commit({"f.txt": "intro\r\nalpha\r\nbravo\r\ncharlie\r\n"})
