@@ -11,7 +11,6 @@ from enum import Enum
 from os.path import commonprefix
 
 from codemapper.diffparse import Hunk, WordAlignment, align
-from codemapper.gitio import Algorithm
 from codemapper.regions import (
     DELETED,
     CharacterRange,
@@ -66,14 +65,6 @@ class Candidate:
     @property
     def movement_detected(self) -> bool:
         return self.origin is Origin.MOVEMENT or self.via_movement
-
-
-@dataclass(frozen=True)
-class ParsedReport:
-    """One deduplicated diff report, parsed into hunks."""
-
-    algorithm: Algorithm
-    hunks: tuple[Hunk, ...]
 
 
 def classify_overlap(hunk: Hunk, source_range: CharacterRange) -> OverlapRelation:
@@ -332,7 +323,7 @@ def refine_end(
 
 
 def extract_diff_candidates(
-    reports,
+    reports: tuple[tuple[Hunk, ...], ...],
     source_range: CharacterRange,
     source_text: str,
     target_text: str,
@@ -378,7 +369,7 @@ def extract_diff_candidates(
 
 
 def _extract_from_report(
-    report,
+    hunks: tuple[Hunk, ...],
     source_range,
     source_text,
     target_text,
@@ -393,7 +384,7 @@ def _extract_from_report(
     full = top = bottom = None
     middles: list[Hunk] = []
 
-    for hunk in report.hunks:
+    for hunk in hunks:
         relation = classify_overlap(hunk, source_range)
         processed.append(hunk)
         kind = relation.kind

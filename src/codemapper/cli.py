@@ -44,6 +44,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _context_size(value: str) -> int:
+    try:
+        size = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid context size: {value!r}") from None
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"context size must be >= 0, not {size}")
+    return size
+
+
+def _context_sizes(value: str) -> list[int]:
+    return [_context_size(piece) for piece in value.split(",") if piece.strip()]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="codemapper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,21 +71,21 @@ def _build_parser() -> _Parser:
     map_cmd.add_argument("--end-line", required=True, type=int)
     map_cmd.add_argument("--end-col", required=True, type=int)
     map_cmd.add_argument("--target-commit", required=True)
-    map_cmd.add_argument("--context", type=int, default=15, metavar="N")
+    map_cmd.add_argument("--context", type=_context_size, default=15, metavar="N")
     map_cmd.add_argument("--no-refine", action="store_true")
     map_cmd.add_argument("--no-move", action="store_true")
     map_cmd.add_argument("--no-search", action="store_true")
-    map_cmd.add_argument("--no-context", action="store_true")
     map_cmd.add_argument("--format", choices=("json", "text"), default="text")
     map_cmd.add_argument("--verbose", action="store_true", help="include all ranked candidates")
     map_cmd.add_argument("--timing", action="store_true", help="report per-phase wall time")
 
     eval_cmd = sub.add_parser("eval", help="score a dataset of mapping tasks")
     eval_cmd.add_argument("--dataset", required=True)
-    eval_cmd.add_argument("--context", type=int, default=15, metavar="N")
+    eval_cmd.add_argument("--context", type=_context_size, default=15, metavar="N")
     eval_cmd.add_argument("--ablation", action="store_true", help="one run per disabled component")
     eval_cmd.add_argument(
         "--context-sweep",
+        type=_context_sizes,
         metavar="SIZES",
         help="comma-separated context sizes, e.g. 0,1,3,5,10,15,20",
     )
@@ -139,7 +153,6 @@ def cmd_map(args) -> int:
         use_refinement=not args.no_refine,
         use_movement=not args.no_move,
         use_search=not args.no_search,
-        use_context=not args.no_context,
     )
     try:
         source = Region(
@@ -211,12 +224,9 @@ def cmd_eval(args) -> int:
         lines += [_aggregates_text(name, rep) for name, rep in matrix.items() if name != "full"]
 
     if args.context_sweep:
-        try:
-            sizes = [int(piece) for piece in args.context_sweep.split(",") if piece.strip()]
-        except ValueError:
-            print("codemapper: --context-sweep expects comma-separated integers", file=sys.stderr)
-            return EX_USAGE
-        sweep = context_sweep(records, sizes, config, jobs=args.jobs, base_dir=base_dir)
+        sweep = context_sweep(
+            records, args.context_sweep, config, jobs=args.jobs, base_dir=base_dir
+        )
         output["context_sweep"] = {str(size): rep.to_json() for size, rep in sweep.items()}
         lines += [_aggregates_text(f"context={size}", rep) for size, rep in sweep.items()]
 

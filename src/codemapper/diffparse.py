@@ -35,10 +35,6 @@ class Hunk:
     body: str = field(default="", repr=False, compare=False)
 
     @property
-    def source_is_empty(self) -> bool:
-        return self.source_end < self.source_start
-
-    @property
     def target_is_empty(self) -> bool:
         return self.target_end < self.target_start
 
@@ -79,14 +75,13 @@ def _parse_header(line: str) -> tuple[int, int, int, int]:
     return source_start, source_end, target_start, target_end
 
 
-def parse_word_diff(report) -> list[Hunk]:
+def parse_word_diff(text: str) -> list[Hunk]:
     """Hunks of a porcelain word-level report, each with its raw body.
 
     Git ends lines with "\\n" only; a form feed or U+2028 inside a fragment
     belongs to the fragment. Body lines never start with "@", so every line
     that does is a hunk header.
     """
-    text = report if isinstance(report, str) else report.text
     chunks = ("\n" + text).split("\n@@")
     hunks = []
     for chunk in chunks[1:]:  # chunks[0] is the file header

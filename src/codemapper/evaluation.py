@@ -12,7 +12,7 @@ import shutil
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -186,28 +186,13 @@ def record_from_json(obj: dict, where: str = "record") -> EvalRecord:
 
 
 def record_to_json(record: EvalRecord) -> dict:
-    expected = "deleted"
-    if isinstance(record.expected, Region):
-        rng = record.expected.range
-        expected = {
-            "file": record.expected.file,
-            "l1": rng.l1,
-            "c1": rng.c1,
-            "l2": rng.l2,
-            "c2": rng.c2,
-        }
-    rng = record.source.range
+    expected = target_to_json(record.expected)
+    if isinstance(expected, dict):
+        del expected["commit"]  # the record's target_commit
     obj = {
         "schema": DATASET_SCHEMA,
         "repo": record.repo,
-        "source": {
-            "commit": record.source.commit,
-            "file": record.source.file,
-            "l1": rng.l1,
-            "c1": rng.c1,
-            "l2": rng.l2,
-            "c2": rng.c2,
-        },
+        "source": target_to_json(record.source),
         "target_commit": record.target_commit,
         "expected": expected,
         "tags": list(record.tags),
@@ -310,14 +295,7 @@ class EvalReport:
     def to_json(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,
-            "config": {
-                "context_lines": self.config.context_lines,
-                "use_diff": self.config.use_diff,
-                "use_refinement": self.config.use_refinement,
-                "use_movement": self.config.use_movement,
-                "use_search": self.config.use_search,
-                "use_context": self.config.use_context,
-            },
+            "config": asdict(self.config),
             "aggregates": self.aggregates.to_json(),
             "by_tag": {tag: agg.to_json() for tag, agg in self.by_tag.items()},
             "records": [_result_to_json(result) for result in self.results],
@@ -457,7 +435,7 @@ ABLATION_VARIANTS = (
     ("no_refinement", {"use_refinement": False}),
     ("no_movement", {"use_movement": False}),
     ("no_search", {"use_search": False}),
-    ("no_context", {"use_context": False}),
+    ("no_context", {"context_lines": 0}),
 )
 
 
@@ -474,10 +452,6 @@ def context_sweep(records, sizes, base_config=None, **kwargs) -> dict[int, EvalR
     """One evaluation run per context size."""
     base_config = base_config or SelectionConfig()
     return {
-        size: evaluate(
-            records,
-            replace(base_config, context_lines=size, use_context=size > 0),
-            **kwargs,
-        )
+        size: evaluate(records, replace(base_config, context_lines=size), **kwargs)
         for size in sizes
     }

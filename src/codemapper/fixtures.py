@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from codemapper.evaluation import EvalRecord, dump_dataset
+from codemapper.gitio import _diff_env
 from codemapper.regions import (
     DELETED,
     AbsInterval,
@@ -46,7 +47,11 @@ class FixtureCase:
 
 
 def _git(cwd, *args):
-    proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    # The caller's config (commit.gpgsign, hooks) must not change what gets
+    # built; the repository's own user.name and user.email still apply.
+    proc = subprocess.run(
+        ["git", *args], cwd=cwd, env=_diff_env(), capture_output=True, text=True
+    )
     if proc.returncode != 0:
         raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr}")
     return proc.stdout

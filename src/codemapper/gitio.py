@@ -40,7 +40,8 @@ def _diff_env() -> dict[str, str]:
     --no-index`, so diffs run without it. Under a byte locale the word
     regex's [[:alnum:]] stops at non-ASCII letters and splits identifiers
     such as `naïve_value`. Repository commands keep the caller's config,
-    because safe.directory lives there.
+    because safe.directory lives there; `codemapper.fixtures` builds its
+    repositories under this environment too.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
     return {
@@ -89,12 +90,6 @@ class GitObject:
 
 
 MISSING = GitObject(None, "missing")
-
-
-@dataclass(frozen=True)
-class RawDiffReport:
-    algorithm: Algorithm
-    text: str
 
 
 def git_executable(git_bin: str | None) -> str:
@@ -243,9 +238,9 @@ class GitGateway:
 
     def diff_texts(
         self, source_text: str, target_text: str, algorithms=ALL_CONFIGS
-    ) -> list[RawDiffReport]:
+    ) -> list[str]:
         """Porcelain word diff of two normalized texts under each algorithm;
-        deduplicated by text.
+        deduplicated by text, in algorithm order.
 
         The diffs run concurrently and are collected in algorithm order.
         Identical texts yield no reports. Hunks carry no context lines, so
@@ -255,8 +250,7 @@ class GitGateway:
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
         env = _diff_env()
-        reports: list[RawDiffReport] = []
-        seen: set[str] = set()
+        reports: list[str] = []
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:
             tmp_path = Path(tmp)
             (tmp_path / "a").write_text(source_text, encoding="utf-8")
@@ -295,10 +289,8 @@ class GitGateway:
                             "difference but printed no diff"
                         )
                     text = stdout.decode("utf-8", errors="replace")
-                    if text in seen:
-                        continue
-                    seen.add(text)
-                    reports.append(RawDiffReport(algorithm, text))
+                    if text not in reports:
+                        reports.append(text)
             finally:
                 # A failed diff leaves the others running; none may outlive
                 # the call or the directory they read.

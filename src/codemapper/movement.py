@@ -8,15 +8,8 @@ verbatim (vertical movement) or equal up to leading/trailing whitespace
 (horizontal movement).
 """
 
-from enum import Enum
-
 from codemapper.candidates import Candidate, Origin
 from codemapper.regions import CharacterRange, Region, line_count, line_text
-
-
-class MovementKind(Enum):
-    VERTICAL = "vertical"
-    HORIZONTAL = "horizontal"
 
 
 def region_fully_deleted(source_range, hunks) -> bool:
@@ -53,18 +46,14 @@ def detect_movements(
         for offset in range(len(added) - size + 1):
             window = added[offset : offset + size]
             line = hunk.target_start + offset
-            if window == block:
-                kind = MovementKind.VERTICAL
-            elif [w.strip() for w in window] == stripped_block:
-                kind = MovementKind.HORIZONTAL
-            else:
-                continue
-            if kind is MovementKind.VERTICAL:
+            if window == block:  # vertical movement
                 rng = CharacterRange(
                     line, source_range.c1, line + size - 1, source_range.c2
                 )
-            else:
+            elif [w.strip() for w in window] == stripped_block:  # horizontal
                 rng = _whitespace_shifted_range(block, window, line, source_range)
+            else:
+                continue
             if rng is not None:
                 candidates.append(
                     Candidate(Region(target_commit, target_file, rng), Origin.MOVEMENT)

@@ -3,12 +3,7 @@
 import time
 from dataclasses import dataclass, field
 
-from codemapper.candidates import (
-    Candidate,
-    ParsedReport,
-    dedup_candidates,
-    extract_diff_candidates,
-)
+from codemapper.candidates import Candidate, dedup_candidates, extract_diff_candidates
 from codemapper.diffparse import parse_word_diff
 from codemapper.gitio import GitGateway, blob_text
 from codemapper.movement import detect_movements
@@ -85,16 +80,15 @@ def map_region(
         )
 
     target_text = blob_text(target, target_sha, resolved)
-    parsed = tuple(
-        ParsedReport(report.algorithm, tuple(parse_word_diff(report)))
-        for report in gateway.diff_texts(source_text, target_text)
+    reports = tuple(
+        tuple(parse_word_diff(text)) for text in gateway.diff_texts(source_text, target_text)
     )
 
     candidates: list[Candidate] = []
     if config.use_diff:
         candidates.extend(
             extract_diff_candidates(
-                parsed,
+                reports,
                 source.range,
                 source_text,
                 target_text,
@@ -104,12 +98,12 @@ def map_region(
             )
         )
     if config.use_movement:
-        for report in parsed:
+        for hunks in reports:
             candidates.extend(
                 detect_movements(
                     source.range,
                     source_text,
-                    report.hunks,
+                    hunks,
                     target_text,
                     resolved,
                     target_sha,
@@ -127,7 +121,7 @@ def map_region(
     candidates = dedup_candidates(candidates)
     phase1_done = time.perf_counter()
 
-    reference_hunks = parsed[0].hunks if parsed else ()
+    reference_hunks = reports[0] if reports else ()
     target, ranked = select_target(
         source.range, source_text, candidates, config, reference_hunks, target_text
     )

@@ -22,33 +22,28 @@ from codemapper.similarity import levenshtein_similarity
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Pipeline tuning knobs; every component toggle defaults to on."""
+    """Pipeline tuning knobs; every component toggle defaults to on, and
+    `context_lines=0` scores without context."""
 
     context_lines: int = 15
     use_diff: bool = True
     use_refinement: bool = True
     use_movement: bool = True
     use_search: bool = True
-    use_context: bool = True
 
-    @property
-    def effective_context(self) -> int:
-        return self.context_lines if self.use_context else 0
-
-
-def changed_lines(hunks, side: str) -> frozenset[int]:
-    if side == "source":
-        return frozenset(line for hunk in hunks for line in hunk.source_lines())
-    return frozenset(
-        line
-        for hunk in hunks
-        for line in range(hunk.target_start, hunk.target_end + 1)
-    )
+    def __post_init__(self):
+        if self.context_lines < 0:
+            raise ValueError(f"context_lines must be >= 0, not {self.context_lines}")
 
 
 def _flanking_unchanged(
     file_text: str, first: int, last: int, changed: frozenset[int], n: int
 ) -> tuple[list[str], list[str]]:
+    """Up to n unchanged lines above line `first` and below line `last`.
+
+    Lines inside changed blocks are skipped, not merely truncated, so the
+    context reflects code that survives on both sides of the diff.
+    """
     count = line_count(file_text)
     if file_text.endswith("\n"):
         count -= 1  # the empty pseudo-line after a final newline
@@ -66,30 +61,6 @@ def _flanking_unchanged(
             below.append(line_text(file_text, line))
         line += 1
     return above, below
-
-
-def add_context(
-    rng: CharacterRange, file_text: str, hunks, n: int, side: str = "source"
-) -> str:
-    """Region text widened by up to n unchanged lines on each side.
-
-    Lines inside changed blocks are skipped, not merely truncated, so the
-    context reflects code that survives on both sides of the diff.
-    """
-    above, below = _flanking_unchanged(
-        file_text, rng.l1, rng.l2, changed_lines(hunks, side), n
-    )
-    return "\n".join(above + [extract_text(file_text, rng)] + below)
-
-
-def surrounding_context(
-    first: int, last: int, file_text: str, hunks, n: int, side: str
-) -> str:
-    """Unchanged lines around a line span, without the span itself."""
-    above, below = _flanking_unchanged(
-        file_text, first, last, changed_lines(hunks, side), n
-    )
-    return "\n".join(above + below)
 
 
 def _rank_key(candidate: Candidate):
@@ -119,13 +90,18 @@ def select_target(
     earliest target position. An empty candidate set means deletion."""
     if not candidates:
         return DELETED, []
-    n = config.effective_context
-
-    src_with_ctx = add_context(source_range, source_text, hunks, n, side="source")
-    src_plain = extract_text(source_text, source_range)
-    src_ctx_only = surrounding_context(
-        source_range.l1, source_range.l2, source_text, hunks, n, side="source"
+    n = config.context_lines
+    source_changed = frozenset(line for hunk in hunks for line in hunk.source_lines())
+    target_changed = frozenset(
+        line for hunk in hunks for line in range(hunk.target_start, hunk.target_end + 1)
     )
+
+    src_plain = extract_text(source_text, source_range)
+    src_above, src_below = _flanking_unchanged(
+        source_text, source_range.l1, source_range.l2, source_changed, n
+    )
+    src_with_ctx = "\n".join(src_above + [src_plain] + src_below)
+    src_ctx_only = "\n".join(src_above + src_below)
 
     scored: list[Candidate] = []
     for cand in candidates:
@@ -137,22 +113,21 @@ def select_target(
                 # the insertion point, so the flanks around them are the
                 # deletion site.
                 hunk = cand.source_hunk
-                site = (
-                    surrounding_context(
-                        hunk.target_start, hunk.target_end, target_text, hunks, n, "target"
+                site = ""
+                if hunk is not None:
+                    above, below = _flanking_unchanged(
+                        target_text, hunk.target_start, hunk.target_end, target_changed, n
                     )
-                    if hunk is not None
-                    else ""
-                )
+                    site = "\n".join(above + below)
                 score = levenshtein_similarity(src_ctx_only, site)
         elif cand.movement_detected:
             score = levenshtein_similarity(
                 src_plain, extract_text(target_text, cand.region.range)
             )
         else:
-            cand_ctx = add_context(
-                cand.region.range, target_text, hunks, n, side="target"
-            )
+            rng = cand.region.range
+            above, below = _flanking_unchanged(target_text, rng.l1, rng.l2, target_changed, n)
+            cand_ctx = "\n".join(above + [extract_text(target_text, rng)] + below)
             score = levenshtein_similarity(src_with_ctx, cand_ctx)
         scored.append(replace(cand, similarity=score))
 

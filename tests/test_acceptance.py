@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from codemapper.candidates import ParsedReport, classify_overlap, extract_diff_candidates
+from codemapper.candidates import classify_overlap, extract_diff_candidates
 from codemapper.cli import main as cli_main
 from codemapper.diffparse import Hunk, parse_word_diff
 from codemapper.evaluation import (
@@ -196,9 +196,7 @@ def test_criterion_4_offset_accounting_oracle(tmp_path):
         source = "".join(l + "\n" for l in lines)
         target = "".join(l + "\n" for l in target_lines)
         reports = gateway.diff_texts(source, target, algorithms=MYERS)
-        parsed = tuple(
-            ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports
-        )
+        parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
         # Unrefined, so the check covers the offset accounting alone.
         candidates = extract_diff_candidates(
             parsed, region, source, target, "f", "c", refine=False
@@ -286,9 +284,7 @@ def test_criterion_5_refinement_oracle(tmp_path):
         source = source_line + "\n"
         target = target_line + "\n"
         reports = gateway.diff_texts(source, target, algorithms=MYERS)
-        parsed = tuple(
-            ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports
-        )
+        parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
         candidates = extract_diff_candidates(parsed, region, source, target, "f", "c")
         refined = next(
             (c.region.range for c in candidates if not c.is_deleted), None

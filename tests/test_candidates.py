@@ -8,7 +8,6 @@ from codemapper.candidates import (
     Candidate,
     Origin,
     OverlapKind,
-    ParsedReport,
     classify_overlap,
     dedup_candidates,
     extract_diff_candidates,
@@ -79,7 +78,7 @@ def gateway(tmp_path):
 
 def run_extraction(gateway, source, target, rng, refine=True):
     reports = gateway.diff_texts(source, target, algorithms=MYERS)
-    parsed = tuple(ParsedReport(r.algorithm, tuple(parse_word_diff(r))) for r in reports)
+    parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
     return extract_diff_candidates(parsed, rng, source, target, "f.py", "deadbeef", refine=refine)
 
 

@@ -37,6 +37,10 @@ def map_args(repo, source, target, *extra):
     ]
 
 
+def _no_config(*args, **kwargs):
+    raise AssertionError("a SelectionConfig was built")
+
+
 class TestCmdMap:
     def test_identical_commits_echo_region(self, repo_builder, capsys):
         sha = repo_builder.commit({"f.py": BASE})
@@ -85,6 +89,15 @@ class TestCmdMap:
         code, _, err = run_cli(capsys, "map", "--repo", "/nowhere")
         assert code == 64
         assert "error" in err
+
+    def test_negative_context_is_64(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SelectionConfig", _no_config)
+        code, out, err = run_cli(
+            capsys, *map_args("/nowhere", "HEAD", "HEAD", "--context", "-1")
+        )
+        assert code == 64
+        assert "--context" in err
+        assert out == ""
 
     def test_bad_region_is_2(self, repo_builder, capsys):
         sha = repo_builder.commit({"f.py": BASE})
@@ -218,6 +231,19 @@ class TestCmdEval:
         code, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset))
         assert code == 0
         assert "records=0" in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--context", "-1"), ("--context-sweep", "0,-5")]
+    )
+    def test_negative_context_is_64(self, tmp_path, capsys, monkeypatch, flag, value):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "SelectionConfig", _no_config)
+        monkeypatch.setattr(cli, "load_dataset", _no_config)
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
+        assert code == 64
+        assert flag in err
+        assert out == ""
 
     def test_parse_error_is_65_with_line_number(self, tmp_path, capsys):
         dataset = tmp_path / "bad.jsonl"

@@ -77,7 +77,6 @@ class TestParseLineDiff:
         source = "a\nb\n"
         target = "a\nx\ny\nb\n"
         hunk = myers_hunks(gateway, source, target)[0]
-        assert hunk.source_is_empty
         assert hunk.source_end == hunk.source_start - 1
         assert (hunk.target_start, hunk.target_end) == (2, 3)
 

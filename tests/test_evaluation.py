@@ -12,6 +12,7 @@ from codemapper.evaluation import (
     DatasetError,
     EvalOutcome,
     EvalRecord,
+    EvalReport,
     FileMismatch,
     OutcomeKind,
     RecordResult,
@@ -329,3 +330,15 @@ def test_failed_clone_is_a_record_error(tmp_path):
     report = evaluate([record], cache_dir=tmp_path / "cache")
     assert report.aggregates.errors == 1
     assert report.results[0].error.startswith("RepoError: git clone")
+
+
+def test_report_config_echoes_selection_config():
+    config = SelectionConfig(context_lines=3, use_search=False)
+    echoed = EvalReport(config, [], aggregate([])).to_json()["config"]
+    assert echoed == {
+        "context_lines": 3,
+        "use_diff": True,
+        "use_refinement": True,
+        "use_movement": True,
+        "use_search": False,
+    }

@@ -149,7 +149,7 @@ class TestMapRegion:
         second = repo_builder.commit({"f.py": BASE.replace("line 4", "line FOUR plus")})
         source = Region(first, "f.py", make_range(4, 1, 4, 6))
         config = SelectionConfig(
-            use_refinement=False, use_movement=False, use_search=False, use_context=False
+            context_lines=0, use_refinement=False, use_movement=False, use_search=False
         )
         result = map_region(repo_builder.path, source, second, config)
         assert all(c.origin is Origin.DIFF for c in result.candidates)

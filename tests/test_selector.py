@@ -2,10 +2,15 @@
 
 import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from codemapper.candidates import Candidate, Origin
 from codemapper.diffparse import Hunk
-from codemapper.regions import DELETED, Region, make_range
-from codemapper.selector import SelectionConfig, add_context, select_target
+from codemapper.regions import DELETED, Region, extract_text, make_range
+from codemapper.selector import SelectionConfig, _flanking_unchanged, select_target
+from codemapper.similarity import levenshtein_similarity
 
 
 def text(lines):
@@ -13,35 +18,44 @@ def text(lines):
 
 
 class TestAddContext:
+    """Widening a region by unchanged lines, through the flank helper and
+    through the scores `select_target` gives."""
+
     FILE = text([f"l{i}" for i in range(1, 11)])
 
     def test_zero_context_is_region_text(self):
-        rng = make_range(5, 1, 5, 2)
-        assert add_context(rng, self.FILE, (), 0) == "l5"
+        assert _flanking_unchanged(self.FILE, 5, 5, frozenset(), 0) == ([], [])
 
     def test_file_top_truncates(self):
-        rng = make_range(1, 1, 1, 2)
-        got = add_context(rng, self.FILE, (), 15)
-        assert got.startswith("l1\n")
-        assert got == "\n".join([f"l{i}" for i in range(1, 11)])
+        # The empty piece after the final newline is not a line.
+        above, below = _flanking_unchanged(self.FILE, 1, 1, frozenset(), 15)
+        assert above == []
+        assert below == [f"l{i}" for i in range(2, 11)]
 
     def test_changed_lines_are_skipped(self):
         # two changed lines directly above the region
-        hunks = (Hunk(3, 4, 3, 4),)
-        rng = make_range(5, 1, 5, 2)
-        got = add_context(rng, self.FILE, hunks, 2, side="source")
-        assert got == "l1\nl2\nl5\nl6\nl7"
+        above, below = _flanking_unchanged(self.FILE, 5, 5, frozenset({3, 4}), 2)
+        assert (above, below) == (["l1", "l2"], ["l6", "l7"])
 
     def test_target_side_uses_target_blocks(self):
+        # Source lines 3-4 became target lines 3-5: the source skips 3-4,
+        # the candidate skips 3-5.
         hunks = (Hunk(3, 4, 3, 5),)
-        rng = make_range(6, 1, 6, 2)
-        got = add_context(rng, self.FILE, hunks, 2, side="target")
-        assert got == "l1\nl2\nl6\nl7\nl8"
+        cand = diff_cand(make_range(6, 1, 6, 2))
+        config = SelectionConfig(context_lines=2)
+        _, ranked = select_target(
+            make_range(6, 1, 6, 2), self.FILE, [cand], config, hunks, self.FILE
+        )
+        assert ranked[0].similarity == levenshtein_similarity(
+            "l2\nl5\nl6\nl7\nl8", "l1\nl2\nl6\nl7\nl8"
+        )
 
     def test_partial_line_region(self):
-        rng = make_range(5, 2, 5, 2)
-        got = add_context(rng, self.FILE, (), 1)
-        assert got == "l4\n5\nl6"
+        source = text(["a", "b", "c"])
+        cand = diff_cand(make_range(5, 2, 5, 2))
+        config = SelectionConfig(context_lines=1)
+        _, ranked = select_target(make_range(2, 1, 2, 1), source, [cand], config, (), self.FILE)
+        assert ranked[0].similarity == levenshtein_similarity("a\nb\nc", "l4\n5\nl6")
 
 
 def diff_cand(rng, similarity=None):
@@ -181,9 +195,129 @@ class TestDeletedScoring:
         target_text = text(["a", "b", "c", "d"])
         hunks = (Hunk(3, 3, 3, 2),)
         gone = Candidate(DELETED, Origin.DIFF, source_hunk=hunks[0])
-        config = SelectionConfig(use_context=False)
+        config = SelectionConfig(context_lines=0)
         target, ranked = select_target(
             make_range(3, 1, 3, 4), source, [gone], config, hunks, target_text
         )
         assert target is DELETED  # still the only candidate
         assert ranked[0].similarity == 0.0
+
+
+class TestNegativeContext:
+    def test_config_rejects_negative_context(self):
+        with pytest.raises(ValueError):
+            SelectionConfig(context_lines=-1)
+
+    def test_zero_context_keeps_the_region_over_a_deletion(self):
+        # Below zero both flank strings would be empty and the deletion
+        # would score 1.0; at zero it scores 0.0 and the edited line wins.
+        source = text(["a", "gone x", "b"])
+        target_text = text(["a", "gone y", "b"])
+        hunk = Hunk(2, 2, 2, 2)
+        cands = [
+            diff_cand(make_range(2, 1, 2, 6)),
+            Candidate(DELETED, Origin.DIFF, source_hunk=hunk),
+        ]
+        config = SelectionConfig(context_lines=0)
+        target, ranked = select_target(
+            make_range(2, 1, 2, 6), source, cands, config, (hunk,), target_text
+        )
+        assert target == cands[0].region
+        assert [c.similarity for c in ranked] == [levenshtein_similarity("gone x", "gone y"), 0.0]
+
+
+# -- oracle: context assembly ----------------------------------------------------
+
+
+def _brute_context(file_text, first, last, changed, n, middle):
+    """Scan outward from the span, skip changed lines, stop at n lines or at
+    the file edge; the empty piece after a final newline is not a line."""
+    lines = file_text.split("\n")
+    if file_text.endswith("\n"):
+        lines.pop()
+    above = [lines[k - 1] for k in range(first - 1, 0, -1) if k not in changed][:n]
+    below = [lines[k - 1] for k in range(last + 1, len(lines) + 1) if k not in changed][:n]
+    return "\n".join(above[::-1] + middle + below)
+
+
+LINE = st.text(alphabet="ab ", min_size=1, max_size=3).filter(lambda s: s.strip())
+
+
+@st.composite
+def _ranges(draw, lines):
+    l1, l2 = sorted(draw(st.integers(1, len(lines))) for _ in range(2))
+    c1 = draw(st.integers(1, len(lines[l1 - 1])))
+    c2 = draw(st.integers(1, len(lines[l2 - 1])))
+    if l1 == l2:
+        c1, c2 = sorted((c1, c2))
+    return make_range(l1, c1, l2, c2)
+
+
+@st.composite
+def _hunks(draw, source_count, target_count):
+    hunks = []
+    s, t = 1, 1
+    for _ in range(draw(st.integers(0, 4))):
+        s += draw(st.integers(0, 2))
+        t += draw(st.integers(0, 2))
+        a, b = draw(st.sampled_from([(a, b) for a in range(4) for b in range(4) if a or b]))
+        if s + a - 1 > source_count or t + b - 1 > target_count:
+            break
+        hunks.append(Hunk(s, s + a - 1, t, t + b - 1))
+        s, t = s + a, t + b
+    return tuple(hunks)
+
+
+@st.composite
+def _scoring_case(draw):
+    source_lines = draw(st.lists(LINE, min_size=1, max_size=12))
+    target_lines = draw(st.lists(LINE, min_size=1, max_size=12))
+    source = "\n".join(source_lines) + draw(st.sampled_from(["", "\n"]))
+    target = "\n".join(target_lines) + draw(st.sampled_from(["", "\n"]))
+    hunks = draw(_hunks(len(source_lines), len(target_lines)))
+    cands = [
+        Candidate(Region("tc", "f.py", draw(_ranges(target_lines))), Origin.DIFF)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    cands.append(Candidate(Region("tc", "f.py", draw(_ranges(target_lines))), Origin.MOVEMENT))
+    site = draw(st.sampled_from(hunks + (None,)))
+    cands.append(Candidate(DELETED, Origin.DIFF, source_hunk=site))
+    n = draw(st.sampled_from([0, 1, 2, 15]))
+    return draw(_ranges(source_lines)), source, target, hunks, cands, n
+
+
+@given(_scoring_case())
+def test_similarities_match_brute_force_context(case):
+    source_range, source, target, hunks, cands, n = case
+    source_changed = {k for h in hunks for k in range(h.source_start, h.source_end + 1)}
+    target_changed = {k for h in hunks for k in range(h.target_start, h.target_end + 1)}
+    plain = extract_text(source, source_range)
+    src_with_ctx = _brute_context(
+        source, source_range.l1, source_range.l2, source_changed, n, [plain]
+    )
+    src_ctx_only = _brute_context(source, source_range.l1, source_range.l2, source_changed, n, [])
+
+    _, ranked = select_target(
+        source_range, source, cands, SelectionConfig(context_lines=n), hunks, target
+    )
+    assert len(ranked) == len(cands)
+    for cand in ranked:
+        if cand.is_deleted:
+            hunk = cand.source_hunk
+            if n == 0:
+                expected = 0.0
+            else:
+                site = ""
+                if hunk is not None:
+                    first, last = hunk.target_start, hunk.target_end
+                    site = _brute_context(target, first, last, target_changed, n, [])
+                expected = levenshtein_similarity(src_ctx_only, site)
+        elif cand.origin is Origin.MOVEMENT:
+            expected = levenshtein_similarity(plain, extract_text(target, cand.region.range))
+        else:
+            rng = cand.region.range
+            cand_ctx = _brute_context(
+                target, rng.l1, rng.l2, target_changed, n, [extract_text(target, rng)]
+            )
+            expected = levenshtein_similarity(src_with_ctx, cand_ctx)
+        assert cand.similarity == expected
