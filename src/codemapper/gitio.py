@@ -1,18 +1,22 @@
 """All interaction with a git repository.
 
 Content retrieval, word-level diff reports under four algorithms, and
-rename tracking of the containing file. One `git cat-file --batch` process
-resolves both commits and reads the file at each; the four diffs, one per
-algorithm, run concurrently. A word report's @@ headers are those of the
-plain line diff, so one diff per algorithm gives both the line hunks and
-their intra-line fragments. Requires a `git` executable on PATH
-(override with the CODEMAPPER_GIT environment variable or the `git_bin`
-argument).
+rename tracking of the containing file. Each repository gets one
+long-lived `git cat-file --batch` reader that resolves commits and reads
+files for every mapping until the interpreter exits, so git's delta-base
+cache stays warm across mappings; the four diffs, one per algorithm, run
+concurrently. A word report's @@ headers are those of the plain line diff,
+so one diff per algorithm gives both the line hunks and their intra-line
+fragments. Requires a `git` executable on PATH (override with the
+CODEMAPPER_GIT environment variable or the `git_bin` argument).
 """
 
+import atexit
 import os
 import subprocess
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -97,6 +101,147 @@ def git_executable(git_bin: str | None) -> str:
     return git_bin or os.environ.get(GIT_ENV_VAR) or "git"
 
 
+# -- long-lived object readers -------------------------------------------------
+
+# Readers kept at once, one per (repository, git, GIT_* environment); above
+# the fixture corpus's 10 repositories. The least recently used is reaped.
+MAX_READERS = 16
+
+
+class _Reader:
+    """One `git cat-file --batch` process; `lock` lets one batch at a time
+    through."""
+
+    def __init__(self, key: tuple, git: str, identity: tuple):
+        self.key = key
+        self.identity = identity
+        self.lock = threading.Lock()
+        self.answered = False
+        # A file, not a pipe: nothing reads stderr while the reader lives,
+        # and a warning per lookup (an ambiguous ref name) would fill a pipe
+        # and stall cat-file.
+        self.stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                [git, "cat-file", "--batch"],
+                cwd=key[0],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self.stderr,
+            )
+        except OSError as exc:
+            self.stderr.close()
+            raise RepoError(f"cannot run {git}: {exc}") from exc
+
+    def ask(self, request: bytes, count: int) -> list[GitObject] | None:
+        """The answers to `count` newline-terminated names; None if cat-file
+        stops short."""
+        try:
+            self.proc.stdin.write(request)
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            return None  # cat-file has exited; close() reports why
+        objects = []
+        for _ in range(count):
+            obj = _read_object(self.proc.stdout)
+            if obj is None:
+                return None
+            objects.append(obj)
+        return objects
+
+    def close(self) -> str:
+        """Reap cat-file; returns its exit code and stderr as a failure text."""
+        for stream in (self.proc.stdin, self.proc.stdout):
+            try:
+                stream.close()  # closing stdout stops a cat-file still writing
+            except OSError:
+                pass  # names left unflushed when cat-file had already exited
+        code = self.proc.wait()
+        self.stderr.seek(0)
+        failure = _failure("cat-file", code, self.stderr.read())
+        self.stderr.close()
+        return failure
+
+
+_readers: "OrderedDict[tuple, _Reader]" = OrderedDict()
+_readers_lock = threading.Lock()
+
+
+def _checkout(repo: Path, git: str) -> _Reader:
+    """The reader for `repo`, started if there is none or if the directory
+    at that path is not the one it was started in.
+
+    A running reader keeps the repository directory it runs in from being
+    freed, so a repository re-created at the same path has a new inode.
+    """
+    path = os.path.abspath(repo)
+    key = (path, git, tuple(sorted(kv for kv in os.environ.items() if kv[0].startswith("GIT_"))))
+    try:
+        stat = os.stat(path)
+    except OSError as exc:
+        raise RepoError(f"cannot run {git}: {exc}") from exc
+    identity = (stat.st_dev, stat.st_ino)
+    reaped = []
+    try:
+        with _readers_lock:
+            reader = _readers.get(key)
+            if reader is not None and reader.identity != identity:
+                reaped.append(_readers.pop(key))
+                reader = None
+            if reader is None:
+                reader = _readers[key] = _Reader(key, git, identity)
+                while len(_readers) > MAX_READERS:
+                    reaped.append(_readers.popitem(last=False)[1])
+            else:
+                _readers.move_to_end(key)
+    finally:
+        for old in reaped:
+            with old.lock:
+                old.close()
+    return reader
+
+
+def _discard(reader: _Reader) -> str:
+    """Drop `reader` from the table and reap it; returns its failure text."""
+    with _readers_lock:
+        if _readers.get(reader.key) is reader:
+            del _readers[reader.key]
+    return reader.close()
+
+
+@atexit.register
+def _close_readers() -> None:
+    """Close every reader's stdin and wait for it, so no cat-file outlives
+    the interpreter."""
+    with _readers_lock:
+        readers = list(_readers.values())
+        _readers.clear()
+    for reader in readers:
+        reader.close()
+
+
+def _forget_readers() -> None:
+    """In a forked child: leave the parent's readers to the parent.
+
+    The child's copies of their pipe ends are pointed at /dev/null, so a
+    parent's cat-file still sees EOF when the parent closes its own ends, and
+    the child starts its own readers.
+    """
+    global _readers_lock
+    _readers_lock = threading.Lock()
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for reader in _readers.values():
+        for stream in (reader.proc.stdin, reader.proc.stdout):
+            if not stream.closed:
+                os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+    _readers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_readers)
+
+
 class GitGateway:
     """Read-only access to one repository via the git executable."""
 
@@ -113,51 +258,37 @@ class GitGateway:
             raise RepoError(_failure(args[0], proc.returncode, proc.stderr))
         return proc
 
-    def _start(self, args, *, stdin=None, cwd=None, env=None) -> subprocess.Popen:
-        try:
-            return subprocess.Popen(
-                [self.git, *args],
-                cwd=cwd or self.repo,
-                env=env,
-                stdin=stdin,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-            )
-        except OSError as exc:
-            raise RepoError(f"cannot run {self.git}: {exc}") from exc
-
     def read_objects(self, names) -> list[GitObject]:
-        """Look up every object name with one `git cat-file --batch`.
+        """Look up every object name with the repository's `git cat-file
+        --batch` reader, which stays alive for later calls.
 
         Each blob is decoded and NUL-checked as soon as it is read, and only
         its text is kept. All names are written before any answer is read,
-        so together they must fit a pipe buffer; a few paths do.
+        so together they must fit a pipe buffer; a few paths do. A reader
+        that stops short, answers out of form or is interrupted is reaped
+        and dropped; a reader that had answered before (it may have died
+        between calls) is replaced once before the call fails.
         """
         for name in names:
             if "\n" in name:
                 raise RepoError(f"object name {name!r} contains a newline")
-        proc = self._start(["cat-file", "--batch"], stdin=subprocess.PIPE)
-        objects: list[GitObject] = []
-        try:
-            try:
-                with proc.stdin:
-                    proc.stdin.write(os.fsencode("".join(f"{name}\n" for name in names)))
-            except BrokenPipeError:
-                pass  # cat-file exited early; the short read below reports why
-            for _ in names:
-                obj = _read_object(proc.stdout)
-                if obj is None:
-                    break
-                objects.append(obj)
-        finally:
-            # Closing stdout first stops a cat-file that is still writing.
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            proc.stderr.close()
-            code = proc.wait()
-        if len(objects) < len(names) or code != 0:
-            raise RepoError(_failure("cat-file", code, stderr))
-        return objects
+        request = os.fsencode("".join(f"{name}\n" for name in names))
+        while True:
+            reader = _checkout(self.repo, self.git)
+            with reader.lock:
+                if reader.proc.stdout.closed:
+                    continue  # reaped by another thread since the checkout
+                try:
+                    objects = reader.ask(request, len(names))
+                except BaseException:
+                    _discard(reader)
+                    raise
+                if objects is not None:
+                    reader.answered = True
+                    return objects
+                failure = _discard(reader)
+            if not reader.answered:
+                raise RepoError(failure)
 
     def _commit_hash(self, obj: GitObject, committish: str) -> str:
         if obj.type != "commit":
@@ -203,10 +334,6 @@ class GitGateway:
                     return name, obj
         return None, MISSING
 
-    def _is_ancestor(self, ancestor: str, descendant: str) -> bool:
-        proc = self._run(["merge-base", "--is-ancestor", ancestor, descendant], ok=(0, 1))
-        return proc.returncode == 0
-
     def _rename_pairs(self, range_spec: str, *, chronological: bool) -> list[tuple[str, str]]:
         args = ["log", "--format=", "--name-status", "-z", "--diff-filter=R", "-M", range_spec]
         if chronological:
@@ -214,13 +341,17 @@ class GitGateway:
         return _renames(self._run(args).stdout)
 
     def _chained_rename(self, src: str, path: str, tgt: str) -> str | None:
-        if self._is_ancestor(src, tgt):
+        # One merge base answers both directions: an ancestor is its own
+        # merge base with a descendant. Exit 1 with no output: unrelated.
+        proc = self._run(["merge-base", src, tgt], ok=(0, 1))
+        base = proc.stdout.decode().strip()
+        if base == src:
             current = path
             for old, new in self._rename_pairs(f"{src}..{tgt}", chronological=True):
                 if old == current:
                     current = new
             return current if current != path else None
-        if self._is_ancestor(tgt, src):
+        if base == tgt:
             current = path
             for old, new in self._rename_pairs(f"{tgt}..{src}", chronological=False):
                 if new == current:
@@ -259,6 +390,7 @@ class GitGateway:
             try:
                 for algorithm in algorithms:
                     args = [
+                        self.git,
                         "diff",
                         *DIFF_ISOLATION,
                         "--no-index",
@@ -273,9 +405,15 @@ class GitGateway:
                         "b",
                     ]
                     try:
-                        proc = self._start(args, cwd=tmp_path, env=env)
-                    except RepoError as exc:
-                        raise DiffToolFailure(str(exc)) from exc
+                        proc = subprocess.Popen(
+                            args,
+                            cwd=tmp_path,
+                            env=env,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE,
+                        )
+                    except OSError as exc:
+                        raise DiffToolFailure(f"cannot run {self.git}: {exc}") from exc
                     started.append((algorithm, proc))
                 for algorithm, proc in started:
                     stdout, stderr = proc.communicate()

@@ -276,9 +276,16 @@ class TestCmdEval:
             "--format", "json", "--jobs", "4",
         )
         assert code_a == code_b == 0
-        a = json.loads(out_a)["report"]["aggregates"]
-        b = json.loads(out_b)["report"]["aggregates"]
-        assert a == b
+        a = json.loads(out_a)["report"]
+        b = json.loads(out_b)["report"]
+        assert a["aggregates"] == b["aggregates"]
+        # Threads share each repository's cat-file reader; every record must
+        # still get its own answer.
+        assert len(a["records"]) == len(b["records"]) > 0
+        for one, four in zip(a["records"], b["records"]):
+            assert one["name"] == four["name"]
+            assert "error" not in one and "error" not in four
+            assert (one["predicted"], one["outcome"]) == (four["predicted"], four["outcome"])
 
     def test_ablation_evaluates_the_full_configuration_once(self, corpus, capsys, monkeypatch):
         dataset = corpus / "first_two.jsonl"

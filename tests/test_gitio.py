@@ -4,10 +4,16 @@ import os
 import random
 import shutil
 import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
+from conftest import RepoBuilder
 
+import codemapper
+from codemapper import gitio
 from codemapper.diffparse import align, parse_word_diff
 from codemapper.fixtures import build_corpus
 from codemapper.gitio import (
@@ -95,13 +101,176 @@ class TestBatchRead:
     @pytest.mark.parametrize(
         "output", ["", "deadbeef blob 100\\ncut off", "deadbeef blob"], ids=["empty", "short", "header"]
     )
-    def test_cut_off_answer_raises_with_exit_code_and_stderr(self, repo_builder, git_wrapper, output):
+    def test_cut_off_answer_raises_with_exit_code_and_stderr(
+        self, repo_builder, git_wrapper, tmp_path, output
+    ):
         sha = repo_builder.commit({"f.txt": BASE})
+        # Only the first cat-file fails.
+        failed = tmp_path / "failed"
         wrapper = git_wrapper(
-            f'if [ "$1" = cat-file ]; then printf "{output}"; echo "disk on fire" >&2; exit 3; fi'
+            f'if [ "$1" = cat-file ] && [ ! -e "{failed}" ]; then\n'
+            f'  touch "{failed}"; printf "{output}"; echo "disk on fire" >&2; exit 3\n'
+            "fi"
         )
+        gateway = GitGateway(repo_builder.path, git_bin=wrapper)
         with pytest.raises(RepoError, match=r"git cat-file failed \(3\): disk on fire"):
-            GitGateway(repo_builder.path, git_bin=wrapper).file_content(sha, "f.txt")
+            gateway.file_content(sha, "f.txt")
+        assert _reader(repo_builder.path) is None  # reaped and dropped
+        assert gateway.file_content(sha, "f.txt") == BASE
+        assert _reader(repo_builder.path).proc.poll() is None
+
+
+def _reader(repo) -> gitio._Reader | None:
+    """The live reader table's entry for `repo`, if any."""
+    path = os.path.abspath(repo)
+    found = [reader for key, reader in gitio._readers.items() if key[0] == path]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+class TestReaderLifecycle:
+    def test_later_commits_are_seen_by_the_same_reader(self, repo_builder):
+        first = repo_builder.commit({"f.txt": BASE})
+        gateway = GitGateway(repo_builder.path)
+        assert gateway.file_content(first, "f.txt") == BASE
+        pid = _reader(repo_builder.path).proc.pid
+        for step in range(2):
+            content = BASE + f"step {step}\n"
+            sha = repo_builder.commit({"f.txt": content})
+            for name in (sha, sha[:12], "HEAD", "main"):
+                assert gateway.file_content(name, "f.txt") == content
+            assert gateway.read_objects(["HEAD^{commit}"])[0].oid == sha
+            repo_builder._git("pack-refs", "--all")
+        assert _reader(repo_builder.path).proc.pid == pid
+
+    def test_a_reader_killed_between_calls_is_replaced(self, repo_builder):
+        sha = repo_builder.commit({"f.txt": BASE})
+        gateway = GitGateway(repo_builder.path)
+        gateway.file_content(sha, "f.txt")
+        dead = _reader(repo_builder.path)
+        dead.proc.kill()
+        dead.proc.wait()
+        assert gateway.file_content(sha, "f.txt") == BASE
+        assert _reader(repo_builder.path) not in (None, dead)
+
+    def test_the_least_recently_used_reader_is_reaped(self, tmp_path):
+        repos = []
+        for i in range(gitio.MAX_READERS + 1):
+            builder = RepoBuilder(tmp_path / f"repo{i}")
+            repos.append((builder.path, builder.commit({"f.txt": f"{i}\n"})))
+        pids = []
+        for path, sha in repos:
+            assert GitGateway(path).file_content(sha, "f.txt") == f"{repos.index((path, sha))}\n"
+            pids.append(_reader(path).proc.pid)
+        assert _reader(repos[0][0]) is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(pids[0], 0)
+        assert all(_reader(path) is not None for path, _ in repos[1:])
+
+    def test_threads_sharing_readers_get_their_own_answers(self, tmp_path, monkeypatch):
+        # Three repositories over a two-reader table: threads share readers
+        # while others evict them.
+        monkeypatch.setattr(gitio, "MAX_READERS", 2)
+        repos = []
+        for i in range(3):
+            builder = RepoBuilder(tmp_path / f"repo{i}")
+            repos.append((builder.path, [builder.commit({"f.txt": f"{i} {v}\n" * v}) for v in range(1, 4)]))
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    i, v = rng.randrange(3), rng.randrange(3)
+                    path, shas = repos[i]
+                    text = GitGateway(path).file_content(shas[v], "f.txt")
+                    if text != f"{i} {v + 1}\n" * (v + 1):
+                        wrong.append((i, v, text))
+            except Exception as exc:  # reported below, from the main thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_re_created_repository_gets_a_new_reader(self, tmp_path):
+        builder = RepoBuilder(tmp_path / "repo")
+        sha = builder.commit({"f.txt": BASE})
+        GitGateway(builder.path).file_content(sha, "f.txt")
+        old = _reader(builder.path)
+        shutil.rmtree(builder.path)
+        builder = RepoBuilder(tmp_path / "repo")
+        sha = builder.commit({"f.txt": "new\n"})
+        assert GitGateway(builder.path).file_content(sha, "f.txt") == "new\n"
+        assert old.proc.returncode is not None
+        assert _reader(builder.path) is not old
+
+    def test_a_forked_child_starts_its_own_reader(self, repo_builder):
+        sha = repo_builder.commit({"f.txt": BASE})
+        gateway = GitGateway(repo_builder.path)
+        gateway.file_content(sha, "f.txt")
+        parent_reader = _reader(repo_builder.path)
+        release_r, release_w = os.pipe()
+        child = os.fork()
+        if child == 0:
+            ok = False
+            try:
+                os.close(release_w)
+                ok = gateway.file_content(sha, "f.txt") == BASE and _reader(
+                    repo_builder.path
+                ).proc.pid != parent_reader.proc.pid
+                os.read(release_r, 1)  # outlive the parent's reader
+            finally:
+                os._exit(0 if ok else 1)
+        os.close(release_r)
+        try:
+            assert gateway.file_content(sha, "f.txt") == BASE
+            assert _reader(repo_builder.path) is parent_reader
+            # The live child holds no copy of the reader's stdin, so
+            # cat-file ends when the parent closes its own.
+            parent_reader.proc.stdin.close()
+            assert parent_reader.proc.wait(timeout=10) == 0
+            gitio._discard(parent_reader)
+        finally:
+            os.close(release_w)
+            _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_no_reader_outlives_the_interpreter(self, repo_builder, git_wrapper, tmp_path):
+        # The wrapper's shell lingers a second after its cat-file ends, so
+        # only a reader that was waited for is gone when the child is.
+        log = tmp_path / "readers.log"
+        wrapper = git_wrapper(
+            f'if [ "$1" = cat-file ]; then echo $$ >> "{log}"; '
+            f'"{shutil.which("git")}" "$@"; code=$?; sleep 1; exit $code; fi'
+        )
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
+        script = (
+            "import sys\n"
+            "from codemapper.pipeline import map_region\n"
+            "from codemapper.regions import Region, make_range\n"
+            "repo, first, second, git = sys.argv[1:]\n"
+            "result = map_region(repo, Region(first, 'f.py', make_range(5, 1, 5, 4)), second, git_bin=git)\n"
+            "assert result.target.range == make_range(5, 1, 5, 4)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(codemapper.__file__).parent.parent)}
+        subprocess.run(
+            [sys.executable, "-c", script, str(repo_builder.path), first, second, wrapper],
+            env=env, check=True, timeout=60,
+        )
+        (pid,) = log.read_text(encoding="utf-8").split()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
 
 
 class TestResolveTargetFile:

@@ -288,30 +288,40 @@ class TestGitProcessBudget:
         calls = take()
         assert Counter(call[0] for call in calls) == {"cat-file": 1, "diff": 4}
         assert all("--indent-heuristic" in call for call in calls if call[0] == "diff")
+        # The repository's cat-file reader outlives the mapping.
+        map_region(repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second, git_bin=wrapper)
+        assert Counter(call[0] for call in take()) == {"diff": 4}
 
     def test_moved_file_adds_only_rename_tracking(self, repo_builder, logged):
         wrapper, take = logged
         first = repo_builder.commit({"old_name.py": BASE})
         repo_builder.commit({"old_name.py": None, "new_name.py": BASE})
         third = repo_builder.commit({"new_name.py": BASE.replace("line 11", "line XI")})
-        source = Region(first, "old_name.py", make_range(2, 1, 2, 6))
-        result = map_region(repo_builder.path, source, third, git_bin=wrapper)
+        # Rename tracking: one merge base and the rename log, in either
+        # direction; the renamed file is read by the first mapping's cat-file.
+        forward = Region(first, "old_name.py", make_range(2, 1, 2, 6))
+        result = map_region(repo_builder.path, forward, third, git_bin=wrapper)
         assert result.target_file == "new_name.py"
-        # Rename tracking: an ancestry check, the rename log and a read of
-        # the renamed file.
         assert Counter(call[0] for call in take()) == {
-            "cat-file": 2, "diff": 4, "merge-base": 1, "log": 1,
+            "cat-file": 1, "diff": 4, "merge-base": 1, "log": 1,
         }
+        backward = Region(third, "new_name.py", make_range(2, 1, 2, 6))
+        result = map_region(repo_builder.path, backward, first, git_bin=wrapper)
+        assert result.target_file == "old_name.py"
+        assert Counter(call[0] for call in take()) == {"diff": 4, "merge-base": 1, "log": 1}
 
     def test_evaluation_adds_nothing(self, repo_builder, logged):
         wrapper, take = logged
-        first = repo_builder.commit({"f.py": BASE})
+        first = repo_builder.commit({"f.py": BASE, "g.py": BASE})
         second = repo_builder.commit({"f.py": text(["head"]) + BASE})
         source = Region(first, "f.py", make_range(7, 1, 7, 6))
         map_region(repo_builder.path, source, second, git_bin=wrapper)
-        mapped = take()
-        expected = Region(second, "f.py", make_range(8, 1, 8, 6))
-        record = EvalRecord(str(repo_builder.path), source, second, expected)
-        result = evaluate_record(record, SelectionConfig(), git_bin=wrapper)
-        assert result.outcome.is_exact
-        assert sorted(take()) == sorted(mapped)  # concurrent diffs log in any order
+        take()
+        # Only the mapping's own diffs: the expected file, whether or not it
+        # is the mapped one, is read by the reader the first mapping started.
+        for expected_file, exact in [("f.py", True), ("g.py", False)]:
+            expected = Region(second, expected_file, make_range(8, 1, 8, 6))
+            record = EvalRecord(str(repo_builder.path), source, second, expected)
+            result = evaluate_record(record, SelectionConfig(), git_bin=wrapper)
+            assert result.outcome.is_exact == exact
+            assert Counter(call[0] for call in take()) == {"diff": 4}
