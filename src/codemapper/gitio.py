@@ -380,6 +380,8 @@ class GitGateway:
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
+        if source_text == target_text:
+            return []
         env = _diff_env()
         reports: list[str] = []
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:

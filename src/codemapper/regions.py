@@ -108,6 +108,10 @@ class AbsInterval:
 
 
 def normalize_newlines(text: str) -> str:
+    """`text` with "\\r\\n" and lone "\\r" turned into "\\n"; a text without
+    "\\r" is returned as it is."""
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -126,6 +130,13 @@ def _starts(text: str) -> array:
         pos = text.find("\n", pos + 1)
     starts.append(len(text) + 1)
     return starts
+
+
+def line_starts(text: str) -> array:
+    """The cached line index of `text`: the offset of each line's first
+    character, then len(text) + 1. Callers that place many positions in one
+    text slice or bisect it directly; it must not be modified."""
+    return _starts(text)
 
 
 def line_count(text: str) -> int:

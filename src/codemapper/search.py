@@ -1,7 +1,9 @@
 """Exact-occurrence text search in the target file."""
 
+from bisect import bisect_right
+
 from codemapper.candidates import Candidate, Origin
-from codemapper.regions import AbsInterval, OutOfBounds, Region, range_of_interval
+from codemapper.regions import CharacterRange, Region, line_starts
 
 
 def search_text(
@@ -11,21 +13,31 @@ def search_text(
     target_text: str,
 ) -> list[Candidate]:
     """One search candidate per exact occurrence, overlapping ones included,
-    in ascending position order."""
-    if not source_region_text:
+    in ascending position order.
+
+    A range cannot start or end on a newline, so a pattern that does yields
+    no candidates at all. Hits come in ascending order, so one line cursor
+    moves forward through the target's line index: each hit's line is
+    bisected from the previous hit's line on.
+    """
+    pattern = source_region_text
+    if not pattern or "\n" in (pattern[0], pattern[-1]):
         return []
+    starts = line_starts(target_text)
+    newlines = pattern.count("\n")
+    last = len(pattern) - 1
     candidates: list[Candidate] = []
-    pos = target_text.find(source_region_text)
+    line = 1  # the previous hit's line; the next hit lies on it or below
+    pos = target_text.find(pattern)
     while pos != -1:
-        try:
-            rng = range_of_interval(
-                target_text, AbsInterval(pos, pos + len(source_region_text))
-            )
-        except OutOfBounds:
-            rng = None  # pattern starting or ending on a newline
-        if rng is not None:
-            candidates.append(
-                Candidate(Region(target_commit, target_file, rng), Origin.SEARCH)
-            )
-        pos = target_text.find(source_region_text, pos + 1)
+        line = bisect_right(starts, pos, line)
+        end_line = line + newlines
+        rng = CharacterRange(
+            line,
+            pos - starts[line - 1] + 1,
+            end_line,
+            pos + last - starts[end_line - 1] + 1,
+        )
+        candidates.append(Candidate(Region(target_commit, target_file, rng), Origin.SEARCH))
+        pos = target_text.find(pattern, pos + 1)
     return candidates

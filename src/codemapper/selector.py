@@ -6,17 +6,11 @@ the diff hunks; movement candidates are scored without context because
 relocated code usually has different surroundings.
 """
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from codemapper.candidates import ORIGIN_PRIORITY, Candidate
-from codemapper.regions import (
-    DELETED,
-    CharacterRange,
-    Target,
-    extract_text,
-    line_count,
-    line_text,
-)
+from codemapper.regions import DELETED, CharacterRange, Target, extract_text, line_starts
 from codemapper.similarity import levenshtein_similarity
 
 
@@ -36,31 +30,55 @@ class SelectionConfig:
             raise ValueError(f"context_lines must be >= 0, not {self.context_lines}")
 
 
-def _flanking_unchanged(
-    file_text: str, first: int, last: int, changed: frozenset[int], n: int
-) -> tuple[list[str], list[str]]:
-    """Up to n unchanged lines above line `first` and below line `last`.
+class _Flanks:
+    """Up to n unchanged lines above and below any span of one text.
 
     Lines inside changed blocks are skipped, not merely truncated, so the
-    context reflects code that survives on both sides of the diff.
+    context reflects code that survives on both sides of the diff. The
+    unchanged line numbers are listed once, in one sorted array, so each
+    span costs one bisect, and a flank whose lines are contiguous in the
+    text is one slice of it.
     """
-    count = line_count(file_text)
-    if file_text.endswith("\n"):
-        count -= 1  # the empty pseudo-line after a final newline
-    above: list[str] = []
-    line = first - 1
-    while line >= 1 and len(above) < n:
-        if line not in changed:
-            above.append(line_text(file_text, line))
-        line -= 1
-    above.reverse()
-    below: list[str] = []
-    line = last + 1
-    while line <= count and len(below) < n:
-        if line not in changed:
-            below.append(line_text(file_text, line))
-        line += 1
-    return above, below
+
+    def __init__(self, file_text: str, changed_blocks, n: int):
+        self.text = file_text
+        self.starts = line_starts(file_text)
+        self.n = n
+        count = len(self.starts) - 1
+        if file_text.endswith("\n"):
+            count -= 1  # the empty pseudo-line after a final newline
+        # Blocks are inclusive (first, last) line pairs; an empty one has
+        # last = first - 1 and changes nothing.
+        unchanged: list[int] = []
+        line = 1
+        for first, last in sorted(changed_blocks):
+            unchanged.extend(range(line, min(first, count + 1)))
+            line = max(line, last + 1)
+        unchanged.extend(range(line, count + 1))
+        self.unchanged = unchanged
+
+    def _lines(self, lo: int, hi: int) -> str:
+        """Lines unchanged[lo:hi] joined by newlines."""
+        text, starts, lines = self.text, self.starts, self.unchanged
+        first, last = lines[lo], lines[hi - 1]
+        if last - first == hi - 1 - lo:
+            return text[starts[first - 1] : starts[last] - 1]
+        return "\n".join(text[starts[k - 1] : starts[k] - 1] for k in lines[lo:hi])
+
+    def around(self, first: int, last: int, middle: str | None = None) -> str:
+        """The flanks of lines first..last, with `middle` between them, joined
+        by newlines; `last` = first - 1 names the gap above line `first`."""
+        lines, n = self.unchanged, self.n
+        above = bisect_left(lines, first)
+        below = bisect_right(lines, last, above)
+        parts = []
+        if above:
+            parts.append(self._lines(max(0, above - n), above))
+        if middle is not None:
+            parts.append(middle)
+        if below < len(lines):
+            parts.append(self._lines(below, min(len(lines), below + n)))
+        return "\n".join(parts)
 
 
 def _rank_key(candidate: Candidate):
@@ -91,23 +109,35 @@ def select_target(
     if not candidates:
         return DELETED, []
     n = config.context_lines
-    source_changed = frozenset(line for hunk in hunks for line in hunk.source_lines())
-    target_changed = frozenset(
-        line for hunk in hunks for line in range(hunk.target_start, hunk.target_end + 1)
-    )
-
     src_plain = extract_text(source_text, source_range)
-    src_above, src_below = _flanking_unchanged(
-        source_text, source_range.l1, source_range.l2, source_changed, n
-    )
-    src_with_ctx = "\n".join(src_above + [src_plain] + src_below)
-    src_ctx_only = "\n".join(src_above + src_below)
+    if n:
+        source_flanks = _Flanks(
+            source_text, [(h.source_start, h.source_end) for h in hunks], n
+        )
+        target_flanks = _Flanks(
+            target_text, [(h.target_start, h.target_end) for h in hunks], n
+        )
+        src_with_ctx = source_flanks.around(source_range.l1, source_range.l2, src_plain)
+        src_ctx_only = source_flanks.around(source_range.l1, source_range.l2)
+    else:
+        src_with_ctx = src_plain
+
+    # Many candidates share a scoring string (every search hit at context 0
+    # is the region's own text), so each distinct pair is scored once.
+    scores: dict[tuple[str, str], float] = {}
+
+    def score(a: str, b: str) -> float:
+        key = (a, b)
+        value = scores.get(key)
+        if value is None:
+            value = scores[key] = levenshtein_similarity(a, b)
+        return value
 
     scored: list[Candidate] = []
     for cand in candidates:
         if cand.is_deleted:
             if n == 0:
-                score = 0.0
+                value = 0.0
             else:
                 # For an empty target block, target_start/target_end delimit
                 # the insertion point, so the flanks around them are the
@@ -115,21 +145,19 @@ def select_target(
                 hunk = cand.source_hunk
                 site = ""
                 if hunk is not None:
-                    above, below = _flanking_unchanged(
-                        target_text, hunk.target_start, hunk.target_end, target_changed, n
-                    )
-                    site = "\n".join(above + below)
-                score = levenshtein_similarity(src_ctx_only, site)
+                    site = target_flanks.around(hunk.target_start, hunk.target_end)
+                value = score(src_ctx_only, site)
         elif cand.movement_detected:
-            score = levenshtein_similarity(
-                src_plain, extract_text(target_text, cand.region.range)
-            )
+            value = score(src_plain, extract_text(target_text, cand.region.range))
         else:
             rng = cand.region.range
-            above, below = _flanking_unchanged(target_text, rng.l1, rng.l2, target_changed, n)
-            cand_ctx = "\n".join(above + [extract_text(target_text, rng)] + below)
-            score = levenshtein_similarity(src_with_ctx, cand_ctx)
-        scored.append(replace(cand, similarity=score))
+            cand_ctx = extract_text(target_text, rng)
+            if n:
+                cand_ctx = target_flanks.around(rng.l1, rng.l2, cand_ctx)
+            value = score(src_with_ctx, cand_ctx)
+        scored.append(
+            Candidate(cand.region, cand.origin, value, cand.source_hunk, cand.via_movement)
+        )
 
     ranked = sorted(scored, key=_rank_key)
     return ranked[0].region, ranked

@@ -292,6 +292,16 @@ class TestGitProcessBudget:
         map_region(repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second, git_bin=wrapper)
         assert Counter(call[0] for call in take()) == {"diff": 4}
 
+    def test_unchanged_file_runs_no_diffs(self, repo_builder, logged):
+        wrapper, take = logged
+        first = repo_builder.commit({"f.py": BASE, "g.py": BASE})
+        second = repo_builder.commit({"g.py": BASE.replace("line 7", "line seven")})
+        source = Region(first, "f.py", make_range(7, 1, 7, 6))
+        result = map_region(repo_builder.path, source, second, git_bin=wrapper)
+        assert Counter(call[0] for call in take()) == {"cat-file": 1}
+        assert result.target == Region(second, "f.py", source.range)
+        assert result.candidates[0].origin is Origin.DIFF
+
     def test_moved_file_adds_only_rename_tracking(self, repo_builder, logged):
         wrapper, take = logged
         first = repo_builder.commit({"old_name.py": BASE})

@@ -156,6 +156,11 @@ def test_normalize_newlines():
     assert normalize_newlines("a\r\nb\rc\n") == "a\nb\nc\n"
 
 
+def test_normalize_newlines_returns_a_text_without_cr_as_it_is():
+    text = "".join(f"line {i}\n" for i in range(100))
+    assert normalize_newlines(text) is text
+
+
 @given(
     st.lists(
         st.text(alphabet="ab\n\U0001F600", max_size=40), min_size=3, max_size=3, unique=True

@@ -3,16 +3,17 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codemapper.regions import extract_text
+from codemapper.candidates import Origin
+from codemapper.regions import AbsInterval, Region, extract_text, range_of_interval
 from codemapper.search import search_text
 
 
-def naive_count(needle: str, haystack: str) -> int:
-    return sum(
-        1
+def naive_positions(needle: str, haystack: str) -> list[int]:
+    return [
+        i
         for i in range(len(haystack) - len(needle) + 1)
         if haystack[i : i + len(needle)] == needle
-    )
+    ]
 
 
 def test_two_occurrences():
@@ -58,13 +59,22 @@ def test_ascending_deterministic_order():
 
 
 @given(
-    st.text(alphabet="ab\n", min_size=1, max_size=8).filter(
-        lambda s: s.strip("\n") == s and s
-    ),
+    st.text(alphabet="ab\n", min_size=1, max_size=8),
     st.text(alphabet="ab \n", max_size=60),
 )
 def test_count_matches_naive_scan(needle, haystack):
+    """Every hit's range is the one the per-offset conversion gives at the
+    naive scan's position; no range starts or ends on a newline."""
     found = search_text(needle, "f.py", "c1", haystack)
-    assert len(found) == naive_count(needle, haystack)
+    if "\n" in (needle[0], needle[-1]):
+        assert found == []
+        return
+    expected = [
+        range_of_interval(haystack, AbsInterval(i, i + len(needle)))
+        for i in naive_positions(needle, haystack)
+    ]
+    assert [cand.region.range for cand in found] == expected
     for cand in found:
+        assert cand.origin is Origin.SEARCH
+        assert cand.region == Region("c1", "f.py", cand.region.range)
         assert extract_text(haystack, cand.region.range) == needle

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codemapper import regions, selector, similarity
 from codemapper.candidates import Candidate, Origin
 from codemapper.diffparse import Hunk
 from codemapper.regions import DELETED, Region, extract_text, make_range
-from codemapper.selector import SelectionConfig, _flanking_unchanged, select_target
+from codemapper.search import search_text
+from codemapper.selector import SelectionConfig, _Flanks, select_target
 from codemapper.similarity import levenshtein_similarity
 
 
@@ -23,19 +25,26 @@ class TestAddContext:
 
     FILE = text([f"l{i}" for i in range(1, 11)])
 
-    def test_zero_context_is_region_text(self):
-        assert _flanking_unchanged(self.FILE, 5, 5, frozenset(), 0) == ([], [])
+    def test_zero_context_is_region_text(self, monkeypatch):
+        def no_flanks(*args):
+            raise AssertionError("context 0 builds no flanks")
+
+        monkeypatch.setattr(selector, "_Flanks", no_flanks)
+        cand = diff_cand(make_range(5, 1, 5, 2))
+        config = SelectionConfig(context_lines=0)
+        _, ranked = select_target(make_range(2, 1, 2, 2), self.FILE, [cand], config, (), self.FILE)
+        assert ranked[0].similarity == levenshtein_similarity("l2", "l5")
 
     def test_file_top_truncates(self):
         # The empty piece after the final newline is not a line.
-        above, below = _flanking_unchanged(self.FILE, 1, 1, frozenset(), 15)
-        assert above == []
-        assert below == [f"l{i}" for i in range(2, 11)]
+        assert _Flanks(self.FILE, (), 15).around(1, 1) == "\n".join(
+            f"l{i}" for i in range(2, 11)
+        )
 
     def test_changed_lines_are_skipped(self):
         # two changed lines directly above the region
-        above, below = _flanking_unchanged(self.FILE, 5, 5, frozenset({3, 4}), 2)
-        assert (above, below) == (["l1", "l2"], ["l6", "l7"])
+        flanks = _Flanks(self.FILE, [(3, 4)], 2)
+        assert flanks.around(5, 5, "x") == "l1\nl2\nx\nl6\nl7"
 
     def test_target_side_uses_target_blocks(self):
         # Source lines 3-4 became target lines 3-5: the source skips 3-4,
@@ -321,3 +330,49 @@ def test_similarities_match_brute_force_context(case):
             )
             expected = levenshtein_similarity(src_with_ctx, cand_ctx)
         assert cand.similarity == expected
+
+
+def test_flooded_region_scores_each_distinct_pair_once(monkeypatch):
+    """A one-character region with 5,000+ occurrences at context 15: the
+    flanks come from the line index, not from one line_text call per walked
+    line, and the kernel runs at most once per distinct scoring pair. The
+    lines repeat with period 26, so most candidates share their context."""
+    lines = [f"{chr(97 + i % 26)}(" for i in range(5200)]
+    target = text(lines)
+    source = text(lines[:2000] + ["deleted"] + lines[2000:])
+    hunks = (Hunk(2001, 2001, 2001, 2000),)
+    source_range = make_range(2100, 2, 2100, 2)
+    cands = search_text("(", "f.py", "tc", target)
+    assert len(cands) >= 5000
+
+    line_text_calls, pairs, kernel_calls = [], [], []
+    line_text, kernel = regions.line_text, similarity._kernel
+
+    def counting_line_text(*args):
+        line_text_calls.append(args)
+        return line_text(*args)
+
+    def recording_similarity(a, b):
+        pairs.append((a, b))
+        return levenshtein_similarity(a, b)
+
+    def counting_kernel(a, b):
+        kernel_calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(regions, "line_text", counting_line_text)
+    monkeypatch.setattr(selector, "line_text", counting_line_text, raising=False)
+    monkeypatch.setattr(selector, "levenshtein_similarity", recording_similarity)
+    monkeypatch.setattr(similarity, "_kernel", counting_kernel)
+    _, ranked = select_target(
+        source_range, source, cands, SelectionConfig(context_lines=15), hunks, target
+    )
+    assert len(line_text_calls) < len(cands)
+    assert len(pairs) == len(set(pairs)) < 100
+    assert 0 < len(kernel_calls) <= len(pairs)
+
+    src_with_ctx = _brute_context(source, 2100, 2100, {2001}, 15, ["("])
+    for cand in random.Random(7).sample(ranked, 40) + ranked[:3] + ranked[-3:]:
+        rng = cand.region.range
+        cand_ctx = _brute_context(target, rng.l1, rng.l2, set(), 15, ["("])
+        assert cand.similarity == levenshtein_similarity(src_with_ctx, cand_ctx)
