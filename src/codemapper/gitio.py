@@ -4,11 +4,14 @@ Content retrieval, word-level diff reports under four algorithms, and
 rename tracking of the containing file. Each repository gets one
 long-lived `git cat-file --batch` reader that resolves commits and reads
 files for every mapping until the interpreter exits, so git's delta-base
-cache stays warm across mappings; the four diffs, one per algorithm, run
-concurrently. A word report's @@ headers are those of the plain line diff,
-so one diff per algorithm gives both the line hunks and their intra-line
-fragments. Requires a `git` executable on PATH (override with the
-CODEMAPPER_GIT environment variable or the `git_bin` argument).
+cache stays warm across mappings. The rename pairs of each commit that
+rename tracking had to ask `-M` about live as long as that reader, so a
+config change made mid-process (diff.renameLimit, say) is not seen, as
+with the reader. The four diffs, one per algorithm, run at most one per
+usable CPU at a time. A word report's @@ headers are those of the plain
+line diff, so one diff per algorithm gives both the line hunks and their
+intra-line fragments. Requires a `git` executable on PATH (override with
+the CODEMAPPER_GIT environment variable or the `git_bin` argument).
 """
 
 import atexit
@@ -101,6 +104,13 @@ def git_executable(git_bin: str | None) -> str:
     return git_bin or os.environ.get(GIT_ENV_VAR) or "git"
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity set where
+    the platform has one), at least 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return max(1, len(affinity(0)) if affinity else os.cpu_count() or 1)
+
+
 # -- long-lived object readers -------------------------------------------------
 
 # Readers kept at once, one per (repository, git, GIT_* environment); above
@@ -110,13 +120,16 @@ MAX_READERS = 16
 
 class _Reader:
     """One `git cat-file --batch` process; `lock` lets one batch at a time
-    through."""
+    through. `renames` holds, per commit hash, the (old, new) renames that
+    `git log -M` reports for that commit; it lives and dies with the
+    reader."""
 
     def __init__(self, key: tuple, git: str, identity: tuple):
         self.key = key
         self.identity = identity
         self.lock = threading.Lock()
         self.answered = False
+        self.renames: dict[str, list[tuple[str, str]]] = {}
         # A file, not a pipe: nothing reads stderr while the reader lives,
         # and a warning per lookup (an ambiguous ref name) would fill a pipe
         # and stall cat-file.
@@ -334,30 +347,46 @@ class GitGateway:
                     return name, obj
         return None, MISSING
 
-    def _rename_pairs(self, range_spec: str, *, chronological: bool) -> list[tuple[str, str]]:
-        args = ["log", "--format=", "--name-status", "-z", "--diff-filter=R", "-M", range_spec]
-        if chronological:
-            args.insert(1, "--reverse")
-        return _renames(self._run(args).stdout)
+    def _commit_renames(self, commit: str) -> list[tuple[str, str]]:
+        """The (old, new) renames `git log -M` reports for `commit`, in its
+        order; asked once per commit while the repository's reader lives."""
+        cache = _checkout(self.repo, self.git).renames
+        pairs = cache.get(commit)
+        if pairs is None:
+            args = ["log", "--no-walk", "-M", "--diff-filter=R", "--name-status", "-z", "--format=", commit]
+            pairs = cache[commit] = _renames(self._run(args).stdout)
+        return pairs
 
     def _chained_rename(self, src: str, path: str, tgt: str) -> str | None:
+        """Follow `path` through the renames between two commits when one is
+        an ancestor of the other.
+
+        A rename old -> new deletes old and adds new in the `--no-renames`
+        view, so one cheap listing of the deletions (going forward) or
+        additions (going backward) per commit finds the commits that can
+        move the followed path; only those are asked for their renames.
+        Merges show no diff in either view.
+        """
         # One merge base answers both directions: an ancestor is its own
         # merge base with a descendant. Exit 1 with no output: unrelated.
         proc = self._run(["merge-base", src, tgt], ok=(0, 1))
         base = proc.stdout.decode().strip()
-        if base == src:
-            current = path
-            for old, new in self._rename_pairs(f"{src}..{tgt}", chronological=True):
-                if old == current:
-                    current = new
-            return current if current != path else None
-        if base == tgt:
-            current = path
-            for old, new in self._rename_pairs(f"{tgt}..{src}", chronological=False):
-                if new == current:
-                    current = old
-            return current if current != path else None
-        return None
+        if base not in (src, tgt):
+            return None
+        forward = base == src
+        args = ["log", "--no-renames", "--name-status", "-z", "--format=%x01%H"]
+        if forward:
+            args += ["--reverse", "--diff-filter=D", f"{src}..{tgt}"]
+        else:
+            args += ["--diff-filter=A", f"{tgt}..{src}"]
+        current = path
+        for commit, paths in _commit_paths(self._run(args).stdout):
+            if current in paths:
+                for pair in self._commit_renames(commit):
+                    before, after = pair if forward else pair[::-1]
+                    if before == current:
+                        current = after
+        return current if current != path else None
 
     def _endpoint_rename(self, src: str, path: str, tgt: str) -> str | None:
         proc = self._run(
@@ -373,51 +402,30 @@ class GitGateway:
         """Porcelain word diff of two normalized texts under each algorithm;
         deduplicated by text, in algorithm order.
 
-        The diffs run concurrently and are collected in algorithm order.
-        Identical texts yield no reports. Hunks carry no context lines, so
-        line numbers come straight from the @@ headers. Exit status 1 with
-        no output is a git failure, not an empty diff.
+        At most one diff per usable CPU runs at a time: the next starts once
+        the oldest running one has been collected, so more diffs than CPUs
+        would only share them. Identical texts yield no reports. Hunks carry
+        no context lines, so line numbers come straight from the @@ headers.
+        Exit status 1 with no output is a git failure, not an empty diff.
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
         if source_text == target_text:
             return []
+        algorithms = tuple(algorithms)
+        width = _usable_cpus()
         env = _diff_env()
         reports: list[str] = []
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:
             tmp_path = Path(tmp)
             (tmp_path / "a").write_text(source_text, encoding="utf-8")
             (tmp_path / "b").write_text(target_text, encoding="utf-8")
-            started: list[tuple[Algorithm, subprocess.Popen]] = []
+            started: list[subprocess.Popen] = []
             try:
-                for algorithm in algorithms:
-                    args = [
-                        self.git,
-                        "diff",
-                        *DIFF_ISOLATION,
-                        "--no-index",
-                        "--no-color",
-                        "--unified=0",
-                        "--indent-heuristic",
-                        f"--diff-algorithm={algorithm.value}",
-                        "--word-diff=porcelain",
-                        f"--word-diff-regex={WORD_DIFF_REGEX}",
-                        "--",
-                        "a",
-                        "b",
-                    ]
-                    try:
-                        proc = subprocess.Popen(
-                            args,
-                            cwd=tmp_path,
-                            env=env,
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                        )
-                    except OSError as exc:
-                        raise DiffToolFailure(f"cannot run {self.git}: {exc}") from exc
-                    started.append((algorithm, proc))
-                for algorithm, proc in started:
+                for i, algorithm in enumerate(algorithms):
+                    while len(started) < min(i + width, len(algorithms)):
+                        started.append(self._start_diff(algorithms[len(started)], tmp_path, env))
+                    proc = started[i]
                     stdout, stderr = proc.communicate()
                     if proc.returncode == 0:
                         continue
@@ -434,13 +442,37 @@ class GitGateway:
             finally:
                 # A failed diff leaves the others running; none may outlive
                 # the call or the directory they read.
-                for _, proc in started:
+                for proc in started:
                     if proc.poll() is None:
                         proc.kill()
                     proc.wait()
                     proc.stdout.close()
                     proc.stderr.close()
         return reports
+
+    def _start_diff(self, algorithm: Algorithm, workdir: Path, env) -> subprocess.Popen:
+        """Start the word diff of `a` against `b` in `workdir`."""
+        args = [
+            self.git,
+            "diff",
+            *DIFF_ISOLATION,
+            "--no-index",
+            "--no-color",
+            "--unified=0",
+            "--indent-heuristic",
+            f"--diff-algorithm={algorithm.value}",
+            "--word-diff=porcelain",
+            f"--word-diff-regex={WORD_DIFF_REGEX}",
+            "--",
+            "a",
+            "b",
+        ]
+        try:
+            return subprocess.Popen(
+                args, cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            )
+        except OSError as exc:
+            raise DiffToolFailure(f"cannot run {self.git}: {exc}") from exc
 
 
 def _renames(output: bytes) -> list[tuple[str, str]]:
@@ -459,6 +491,31 @@ def _renames(output: bytes) -> list[tuple[str, str]]:
             pairs.append((fields[i + 1], fields[i + 2]))
         i += 3 if status.startswith(("R", "C")) else 2
     return pairs
+
+
+def _commit_paths(output: bytes) -> list[tuple[str, set[str]]]:
+    """(commit hash, paths) per commit of `git log --format=%x01%H
+    --no-renames --name-status -z` output, in log order.
+
+    Each commit is a \\x01-marked hash field, then one status field and one
+    path per entry; a status field may start with the newline that ends
+    the header. Fields are read by position, so a path is never taken for
+    a marker.
+    """
+    fields = os.fsdecode(output).split("\0")
+    commits: list[tuple[str, set[str]]] = []
+    i = 0
+    while i < len(fields):
+        field = fields[i].lstrip("\n")
+        if field.startswith("\x01"):
+            commits.append((field[1:], set()))
+            i += 1
+        elif field:
+            commits[-1][1].add(fields[i + 1])
+            i += 2
+        else:
+            i += 1
+    return commits
 
 
 def _failure(command: str, code: int, stderr: bytes) -> str:

@@ -122,6 +122,13 @@ def select_target(
     else:
         src_with_ctx = src_plain
 
+    # Every candidate range was validated against the target where it was
+    # built, so its text is a plain slice of the line index.
+    starts = line_starts(target_text)
+
+    def text_of(rng: CharacterRange) -> str:
+        return target_text[starts[rng.l1 - 1] + rng.c1 - 1 : starts[rng.l2 - 1] + rng.c2]
+
     # Many candidates share a scoring string (every search hit at context 0
     # is the region's own text), so each distinct pair is scored once.
     scores: dict[tuple[str, str], float] = {}
@@ -148,10 +155,10 @@ def select_target(
                     site = target_flanks.around(hunk.target_start, hunk.target_end)
                 value = score(src_ctx_only, site)
         elif cand.movement_detected:
-            value = score(src_plain, extract_text(target_text, cand.region.range))
+            value = score(src_plain, text_of(cand.region.range))
         else:
             rng = cand.region.range
-            cand_ctx = extract_text(target_text, rng)
+            cand_ctx = text_of(rng)
             if n:
                 cand_ctx = target_flanks.around(rng.l1, rng.l2, cand_ctx)
             value = score(src_with_ctx, cand_ctx)

@@ -325,6 +325,98 @@ class TestResolveTargetFile:
         assert self.target_file(repo_builder, first, "a.py", third) is None
 
 
+def _body(tag: str, *edits: int) -> str:
+    return "".join(f"{tag} line {i}{' edited' if i in edits else ''}\n" for i in range(1, 13))
+
+
+class _OneWalk:
+    """Rename tracking as one `git log -M` walk over the whole range does
+    it: the reference the per-commit lookup must agree with."""
+
+    def __init__(self, gateway, src, tgt):
+        def git(*args):
+            return subprocess.run(["git", *args], cwd=gateway.repo, capture_output=True).stdout
+
+        base = git("merge-base", src, tgt).decode().strip()
+        walk = ["log", "--format=", "--name-status", "-z", "--diff-filter=R", "-M"]
+        self.forward = base == src
+        self.pairs = []
+        if base == src:
+            self.pairs = gitio._renames(git(*walk, "--reverse", f"{src}..{tgt}"))
+        elif base == tgt:
+            self.pairs = gitio._renames(git(*walk, f"{tgt}..{src}"))
+        endpoints = git("diff", "--no-ext-diff", "--name-status", "-z", "--find-renames", src, tgt)
+        self.endpoint = dict(gitio._renames(endpoints))
+        self.gateway, self.tgt = gateway, tgt
+
+    def chained(self, path):
+        current = path
+        for old, new in self.pairs:
+            if self.forward and old == current:
+                current = new
+            elif not self.forward and new == current:
+                current = old
+        return current if current != path else None
+
+    def follow(self, path):
+        for name in (self.chained(path), self.endpoint.get(path)):
+            if name:
+                (obj,) = self.gateway.read_objects([f"{self.tgt}:{name}"])
+                if obj.type == "blob":
+                    return name, obj
+        return None, MISSING
+
+
+class TestRenameTracking:
+    """Rename tracking asks `-M` only about the commits that delete (or, going
+    backward, add) the followed path, and gives the answers one `-M` walk
+    over the whole range gives."""
+
+    def test_every_triple_matches_one_walk_over_the_range(self, repo_builder):
+        b = repo_builder
+        start = b.commit({f"{tag}.py": _body(tag) for tag in "abdkg"})
+        b.commit({"a.py": None, "x.py": _body("a")})  # forward rename
+        fork = b.commit({"x.py": None, "a.py": _body("a")})  # and back
+        b.commit({"b.py": None, "b2.py": _body("b"), "k.py": _body("k", 1)})  # renamed twice,
+        b.commit({"b2.py": None, "b3.py": _body("b", 4)})  # the second with an edit
+        b.commit({"d.py": None, "e.py": _body("d", 7)})  # delete plus similar add
+        b.commit({"k.py": None})  # a delete, and a similar add a commit later
+        b.commit({"k2.py": _body("k", 2)})
+        # Renamed in two steps that each edit a quarter of the lines: git
+        # pairs each step but not the two ends, so only the chain finds it;
+        # the old name is then taken by a new file.
+        b.commit({"g.py": None, "g2.py": _body("g", 1, 2, 3)})
+        b.commit({"g2.py": None, "g3.py": _body("g", *range(1, 7)), "g.py": _body("n")})
+        b._git("checkout", "-q", "-b", "side", fork)
+        b.commit({"s.py": _body("s")})
+        b.commit({"s.py": None, "t.py": _body("s")})
+        b._git("checkout", "-q", "main")
+        b._git("merge", "-q", "--no-ff", "-m", "merge side", "side")
+        b.commits.append(b._git("rev-parse", "HEAD").strip())
+        b.commit({"t.py": None, "u.py": _body("s", 9)})
+        commits = [start, *b.commits[1:]]
+        gateway = GitGateway(b.path)
+        for src in commits:
+            paths = b._git("ls-tree", "--name-only", src).split()
+            for tgt in commits:
+                reference = _OneWalk(gateway, src, tgt)
+                for path in paths:
+                    where = (src, path, tgt)
+                    assert gateway._chained_rename(src, path, tgt) == reference.chained(path), where
+                    assert gateway.follow_rename(src, path, tgt) == reference.follow(path), where
+
+    def test_renames_are_kept_with_the_reader(self, repo_builder):
+        first = repo_builder.commit({"a.py": BASE})
+        second = repo_builder.commit({"a.py": None, "b.py": BASE})
+        gateway = GitGateway(repo_builder.path)
+        assert gateway.follow_rename(first, "a.py", second)[0] == "b.py"
+        assert _reader(repo_builder.path).renames == {second: [("a.py", "b.py")]}
+        # A commit that moves no followed path is never asked.
+        third = repo_builder.commit({"c.py": "c\n"})
+        assert gateway.follow_rename(second, "b.py", third)[0] is None
+        assert list(_reader(repo_builder.path).renames) == [second]
+
+
 class TestDiffReports:
     def test_identical_contents_give_no_reports(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
@@ -463,13 +555,26 @@ class TestEmptyDiffOutput:
             map_region(repo_builder.path, source, second, git_bin=str(wrapper))
 
 
+def _pin_cpus(monkeypatch, count):
+    """Make this process's affinity set `count` CPUs wide."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestConcurrentDiffs:
-    def test_a_failed_diff_leaves_no_process_or_directory(self, repo_builder, git_wrapper, tmp_path):
-        # myers fails after a second; the other three would run for 30 s.
+    def test_a_failed_diff_leaves_no_process_or_directory(
+        self, repo_builder, git_wrapper, tmp_path, monkeypatch
+    ):
+        # myers fails after a second; the others would run for 30 s. Each
+        # diff logs its pid, the diffs alive when it started (itself
+        # included; a killed but unreaped one still counts) and its cwd.
         log = tmp_path / "diffs.log"
         wrapper = git_wrapper(
             'if [ "$1" = diff ]; then\n'
-            f'  echo "$$ $PWD" >> "{log}"\n'
+            "  alive=1\n"
+            f'  for pid in $(cut -d" " -f1 "{log}" 2>/dev/null); do\n'
+            '    kill -0 "$pid" 2>/dev/null && alive=$((alive + 1))\n'
+            "  done\n"
+            f'  echo "$$ $alive $PWD" >> "{log}"\n'
             '  for arg in "$@"; do\n'
             '    [ "$arg" = --diff-algorithm=myers ] && sleep 1 && exit 2\n'
             "  done\n"
@@ -478,19 +583,49 @@ class TestConcurrentDiffs:
         )
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
-        started = time.monotonic()
-        with pytest.raises(DiffToolFailure, match=r"git diff failed \(2\)"):
-            map_region(
-                repo_builder.path, Region(first, "f.py", make_range(5, 1, 5, 4)), second,
-                git_bin=wrapper,
-            )
-        assert time.monotonic() - started < 10
-        entries = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
-        assert len(entries) == len(ALL_CONFIGS)
-        for pid, cwd in entries:
-            with pytest.raises(ProcessLookupError):
-                os.kill(int(pid), 0)
-            assert not os.path.exists(cwd)
+        for cpus in (1, 2, 4):
+            _pin_cpus(monkeypatch, cpus)
+            log.unlink(missing_ok=True)
+            started = time.monotonic()
+            with pytest.raises(DiffToolFailure, match=r"git diff failed \(2\)"):
+                map_region(
+                    repo_builder.path, Region(first, "f.py", make_range(5, 1, 5, 4)), second,
+                    git_bin=wrapper,
+                )
+            assert time.monotonic() - started < 10
+            entries = [line.split(" ", 2) for line in log.read_text(encoding="utf-8").splitlines()]
+            # myers is collected first, so its failure stops the queue
+            # before any diff beyond the first `cpus` starts.
+            assert len(entries) == min(cpus, len(ALL_CONFIGS))
+            assert max(int(alive) for _, alive, _ in entries) <= cpus
+            for pid, _, cwd in entries:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(int(pid), 0)
+                assert not os.path.exists(cwd)
+
+    def test_one_cpu_runs_the_diffs_one_at_a_time(
+        self, repo_builder, git_wrapper, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "diffs.log"
+        wrapper = git_wrapper(
+            'if [ "$1" = diff ]; then\n'
+            f'  echo start >> "{log}"\n'
+            f'  "{shutil.which("git")}" "$@"\n'
+            "  status=$?\n"
+            f'  echo end >> "{log}"\n'
+            '  exit "$status"\n'
+            "fi"
+        )
+        gateway = GitGateway(repo_builder.path, git_bin=wrapper)
+        source, target = "A\nB\nC\nA\nB\nB\nA\n", "C\nB\nA\nB\nA\nC\n"
+        _pin_cpus(monkeypatch, 4)
+        together = gateway.diff_texts(source, target)
+        log.unlink()
+        _pin_cpus(monkeypatch, 1)
+        queued = gateway.diff_texts(source, target)
+        assert log.read_text(encoding="utf-8").split() == ["start", "end"] * len(ALL_CONFIGS)
+        assert len(together) > 1
+        assert queued == together
 
 
 # -- header identity: word diffs carry the line diff's hunks -------------------

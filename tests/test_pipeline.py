@@ -307,18 +307,25 @@ class TestGitProcessBudget:
         first = repo_builder.commit({"old_name.py": BASE})
         repo_builder.commit({"old_name.py": None, "new_name.py": BASE})
         third = repo_builder.commit({"new_name.py": BASE.replace("line 11", "line XI")})
-        # Rename tracking: one merge base and the rename log, in either
-        # direction; the renamed file is read by the first mapping's cat-file.
+        # Rename tracking: one merge base, one listing of the range without
+        # rename detection, and `-M` on the one commit that deletes the
+        # file; the renamed file is read by the first mapping's cat-file.
         forward = Region(first, "old_name.py", make_range(2, 1, 2, 6))
         result = map_region(repo_builder.path, forward, third, git_bin=wrapper)
         assert result.target_file == "new_name.py"
-        assert Counter(call[0] for call in take()) == {
-            "cat-file": 1, "diff": 4, "merge-base": 1, "log": 1,
+        calls = take()
+        assert Counter(call[0] for call in calls) == {
+            "cat-file": 1, "diff": 4, "merge-base": 1, "log": 2,
         }
+        assert sum("-M" in call for call in calls) == 1
+        # That commit's renames are kept with the reader, so crossing it
+        # again, in either direction, needs no `-M`.
         backward = Region(third, "new_name.py", make_range(2, 1, 2, 6))
         result = map_region(repo_builder.path, backward, first, git_bin=wrapper)
         assert result.target_file == "old_name.py"
-        assert Counter(call[0] for call in take()) == {"diff": 4, "merge-base": 1, "log": 1}
+        calls = take()
+        assert Counter(call[0] for call in calls) == {"diff": 4, "merge-base": 1, "log": 1}
+        assert not any("-M" in call for call in calls)
 
     def test_evaluation_adds_nothing(self, repo_builder, logged):
         wrapper, take = logged
