@@ -3,11 +3,17 @@
 All file contents are normalized to "\\n" line endings before any range
 arithmetic; a newline counts as one character. Columns count Unicode code
 points, not bytes.
+
+Line arithmetic goes through one line index per text, kept for the two most
+recent texts. The index is filled lazily, block by block, so a mapping that
+reads a few hundred lines of a large file pays for the blocks those lines lie
+in, plus one C-speed newline count over the text. Every lookup costs
+O(log lines + block size), whatever the line's length or the offset.
 """
 
 import functools
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -115,58 +121,137 @@ def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+# Characters per block of the line index: a lookup fills at most one or two
+# blocks, so it costs O(log lines + _BLOCK) however long the text is.
+_BLOCK = 4096
+
+
+def _newlines(text: str, lo: int, hi: int) -> array:
+    """Offsets of the newlines in text[lo:hi], ascending."""
+    found = array("q")
+    pos = text.find("\n", lo, hi)
+    while pos != -1:
+        found.append(pos)
+        pos = text.find("\n", pos + 1, hi)
+    return found
+
+
+class _LineIndex:
+    """Line index of one text, filled block by block as lookups land.
+
+    The text is cut into _BLOCK-character blocks. `before[b]` counts the
+    newlines ahead of block b (one C-speed count per block, made up front),
+    and its last entry counts them all. A block's own newline offsets are
+    found only when a lookup first needs them; the finished array is then
+    stored in one assignment, so a concurrent reader sees a block either
+    unfilled or whole, and at worst fills it twice.
+    """
+
+    __slots__ = ("text", "before", "blocks")
+
+    def __init__(self, text: str):
+        before = [0]
+        total = 0
+        for lo in range(0, len(text), _BLOCK):
+            total += text.count("\n", lo, lo + _BLOCK)
+            before.append(total)
+        self.text = text
+        self.before = before
+        self.blocks: list[array | None] = [None] * (len(before) - 1)
+
+    def _fill(self, b: int) -> array:
+        lo = b * _BLOCK
+        block = self.blocks[b] = _newlines(self.text, lo, lo + _BLOCK)
+        return block
+
+    def count(self) -> int:
+        return self.before[-1] + 1
+
+    def start(self, k: int) -> int:
+        """Offset of the first character of line k >= 1; len(text) + 1 for
+        the line after the last."""
+        before = self.before
+        j = k - 2  # the newline that ends line k - 1
+        if 0 <= j < before[-1]:
+            b = bisect_right(before, j) - 1
+            block = self.blocks[b]
+            if block is None:
+                block = self._fill(b)
+            return block[j - before[b]] + 1
+        if j == -1:
+            return 0
+        if j == before[-1]:
+            return len(self.text) + 1
+        raise IndexError(f"line {k} out of range")
+
+    def bounds(self, k: int) -> tuple[int, int]:
+        """[start, end) offsets of line k >= 1, its newline excluded."""
+        before = self.before
+        j = k - 1  # the newline that ends line k
+        if not 0 <= j < before[-1]:
+            if j == before[-1]:
+                return self.start(k), len(self.text)
+            raise IndexError(f"line {k} out of range")
+        b = bisect_right(before, j) - 1
+        block = self.blocks[b]
+        if block is None:
+            block = self._fill(b)
+        i = j - before[b]
+        if i:
+            return block[i - 1] + 1, block[i]
+        return self.start(k), block[i]
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """(line, col) of an offset inside the text."""
+        b = offset // _BLOCK
+        block = self.blocks[b]
+        if block is None:
+            block = self._fill(b)
+        i = bisect_left(block, offset)  # newlines of this block before offset
+        line = self.before[b] + i + 1
+        if i:
+            return line, offset - block[i - 1]
+        return line, offset - self.start(line) + 1
+
+
 @functools.lru_cache(maxsize=2)
-def _starts(text: str) -> array:
-    """Offset of the first character of each 1-based line of `text`, then
-    len(text) + 1, so line k spans starts[k - 1] .. starts[k] - 1.
+def _starts(text: str) -> _LineIndex:
+    """The lazily filled line index of `text`.
 
     One mapping touches two texts, source and target; two entries keep both
-    indexed while holding only offsets, never line strings.
+    indexed while holding only newline offsets, never line strings, and only
+    for the blocks that lookups reached.
     """
-    starts = array("q", [0])
-    pos = text.find("\n")
-    while pos != -1:
-        starts.append(pos + 1)
-        pos = text.find("\n", pos + 1)
-    starts.append(len(text) + 1)
-    return starts
-
-
-def line_starts(text: str) -> array:
-    """The cached line index of `text`: the offset of each line's first
-    character, then len(text) + 1. Callers that place many positions in one
-    text slice or bisect it directly; it must not be modified."""
-    return _starts(text)
+    return _LineIndex(text)
 
 
 def line_count(text: str) -> int:
     """Number of lines, counted as len(text.split("\\n")) counts them."""
-    return len(_starts(text)) - 1
+    return _starts(text).count()
 
 
 def line_start(text: str, k: int) -> int:
     """Offset of the first character of line k (1-based); for the line
     after the last one, len(text) + 1."""
-    if k < 1:
-        raise IndexError(f"line {k} out of range")
-    return _starts(text)[k - 1]
+    return _starts(text).start(k)
 
 
 def line_text(text: str, k: int) -> str:
     """Line k (1-based) of `text`, without its newline."""
-    if k < 1:
-        raise IndexError(f"line {k} out of range")
-    starts = _starts(text)
-    return text[starts[k - 1] : starts[k] - 1]
+    start, end = _starts(text).bounds(k)
+    return text[start:end]
 
 
-def _check_endpoint(starts: array, line: int, col: int, what: str) -> None:
-    count = len(starts) - 1
+def _check_endpoint(index: _LineIndex, line: int, col: int, what: str) -> int:
+    """Offset of (line, col), which must name a character of its line."""
+    count = index.count()
     if line > count:
         raise OutOfBounds(f"{what} line {line} beyond file of {count} lines")
-    length = starts[line] - starts[line - 1] - 1
+    start, end = index.bounds(line)
+    length = end - start
     if col > length:
         raise OutOfBounds(f"{what} column {col} beyond line {line} of length {length}")
+    return start + col - 1
 
 
 def to_abs_interval(file_text: str, rng: CharacterRange) -> AbsInterval:
@@ -175,10 +260,10 @@ def to_abs_interval(file_text: str, rng: CharacterRange) -> AbsInterval:
     Both endpoints must land on real characters of their lines; newlines are
     covered implicitly by multi-line spans.
     """
-    starts = _starts(file_text)
-    _check_endpoint(starts, rng.l1, rng.c1, "start")
-    _check_endpoint(starts, rng.l2, rng.c2, "end")
-    return AbsInterval(starts[rng.l1 - 1] + rng.c1 - 1, starts[rng.l2 - 1] + rng.c2)
+    index = _starts(file_text)
+    start = _check_endpoint(index, rng.l1, rng.c1, "start")
+    end = _check_endpoint(index, rng.l2, rng.c2, "end")
+    return AbsInterval(start, end + 1)
 
 
 def extract_text(file_text: str, rng: CharacterRange) -> str:
@@ -194,9 +279,7 @@ def position_of_offset(file_text: str, offset: int) -> tuple[int, int]:
     """
     if offset < 0 or offset >= len(file_text):
         raise OutOfBounds(f"offset {offset} outside text of length {len(file_text)}")
-    starts = _starts(file_text)
-    line = bisect_right(starts, offset)
-    return line, offset - starts[line - 1] + 1
+    return _starts(file_text).position(offset)
 
 
 def range_of_interval(file_text: str, interval: AbsInterval) -> CharacterRange:

@@ -1,9 +1,7 @@
 """Exact-occurrence text search in the target file."""
 
-from bisect import bisect_right
-
 from codemapper.candidates import Candidate, Origin
-from codemapper.regions import CharacterRange, Region, line_starts
+from codemapper.regions import CharacterRange, Region, position_of_offset
 
 
 def search_text(
@@ -16,28 +14,23 @@ def search_text(
     in ascending position order.
 
     A range cannot start or end on a newline, so a pattern that does yields
-    no candidates at all. Hits come in ascending order, so one line cursor
-    moves forward through the target's line index: each hit's line is
-    bisected from the previous hit's line on.
+    no candidates at all. Each hit is placed by `position_of_offset`, whose
+    cost does not grow with the hit's column, so a long line with many hits
+    stays linear in the hits.
     """
     pattern = source_region_text
     if not pattern or "\n" in (pattern[0], pattern[-1]):
         return []
-    starts = line_starts(target_text)
-    newlines = pattern.count("\n")
+    multiline = "\n" in pattern
     last = len(pattern) - 1
     candidates: list[Candidate] = []
-    line = 1  # the previous hit's line; the next hit lies on it or below
     pos = target_text.find(pattern)
     while pos != -1:
-        line = bisect_right(starts, pos, line)
-        end_line = line + newlines
-        rng = CharacterRange(
-            line,
-            pos - starts[line - 1] + 1,
-            end_line,
-            pos + last - starts[end_line - 1] + 1,
-        )
+        line, col = position_of_offset(target_text, pos)
+        if multiline:
+            rng = CharacterRange(line, col, *position_of_offset(target_text, pos + last))
+        else:
+            rng = CharacterRange(line, col, line, col + last)
         candidates.append(Candidate(Region(target_commit, target_file, rng), Origin.SEARCH))
         pos = target_text.find(pattern, pos + 1)
     return candidates

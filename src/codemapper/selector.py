@@ -6,11 +6,18 @@ the diff hunks; movement candidates are scored without context because
 relocated code usually has different surroundings.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from codemapper.candidates import ORIGIN_PRIORITY, Candidate
-from codemapper.regions import DELETED, CharacterRange, Target, extract_text, line_starts
+from codemapper.regions import (
+    DELETED,
+    CharacterRange,
+    Target,
+    extract_text,
+    line_count,
+    line_start,
+)
 from codemapper.similarity import levenshtein_similarity
 
 
@@ -35,49 +42,86 @@ class _Flanks:
 
     Lines inside changed blocks are skipped, not merely truncated, so the
     context reflects code that survives on both sides of the diff. The
-    unchanged line numbers are listed once, in one sorted array, so each
-    span costs one bisect, and a flank whose lines are contiguous in the
-    text is one slice of it.
+    changed blocks are kept sorted and merged; a flank walks outward from
+    the span across them, and each run of contiguous unchanged lines is one
+    slice of the text, so a span costs one bisect plus O(n + blocks
+    crossed).
     """
 
     def __init__(self, file_text: str, changed_blocks, n: int):
         self.text = file_text
-        self.starts = line_starts(file_text)
         self.n = n
-        count = len(self.starts) - 1
+        count = line_count(file_text)
         if file_text.endswith("\n"):
             count -= 1  # the empty pseudo-line after a final newline
+        self.count = count
         # Blocks are inclusive (first, last) line pairs; an empty one has
         # last = first - 1 and changes nothing.
-        unchanged: list[int] = []
-        line = 1
+        firsts: list[int] = []
+        lasts: list[int] = []
         for first, last in sorted(changed_blocks):
-            unchanged.extend(range(line, min(first, count + 1)))
-            line = max(line, last + 1)
-        unchanged.extend(range(line, count + 1))
-        self.unchanged = unchanged
+            if last < first:
+                continue
+            if lasts and first <= lasts[-1] + 1:
+                lasts[-1] = max(lasts[-1], last)
+            else:
+                firsts.append(first)
+                lasts.append(last)
+        self.firsts, self.lasts = firsts, lasts
 
-    def _lines(self, lo: int, hi: int) -> str:
-        """Lines unchanged[lo:hi] joined by newlines."""
-        text, starts, lines = self.text, self.starts, self.unchanged
-        first, last = lines[lo], lines[hi - 1]
-        if last - first == hi - 1 - lo:
-            return text[starts[first - 1] : starts[last] - 1]
-        return "\n".join(text[starts[k - 1] : starts[k] - 1] for k in lines[lo:hi])
+    def _lines(self, first: int, last: int) -> str:
+        """Lines first..last joined by newlines."""
+        text = self.text
+        return text[line_start(text, first) : line_start(text, last + 1) - 1]
+
+    def _above(self, first: int) -> list[str]:
+        """The up to n unchanged lines before line `first`, as runs of
+        contiguous lines, top down."""
+        firsts, lasts = self.firsts, self.lasts
+        runs: list[str] = []
+        need = self.n
+        k = min(first - 1, self.count)
+        i = bisect_right(firsts, k) - 1  # the last block that starts at or before k
+        while need and k >= 1:
+            if i >= 0 and lasts[i] >= k:
+                k = firsts[i] - 1
+                i -= 1
+                continue
+            lo = max(k - need + 1, lasts[i] + 1 if i >= 0 else 1)
+            runs.append(self._lines(lo, k))
+            need -= k - lo + 1
+            k = lo - 1
+        runs.reverse()
+        return runs
+
+    def _below(self, last: int) -> list[str]:
+        """The up to n unchanged lines after line `last`, as runs of
+        contiguous lines, top down."""
+        firsts, lasts = self.firsts, self.lasts
+        runs: list[str] = []
+        need = self.n
+        k = last + 1
+        i = bisect_right(firsts, k) - 1
+        while need and k <= self.count:
+            if i >= 0 and lasts[i] >= k:
+                k = lasts[i] + 1
+            i += 1  # the first block that starts after k
+            hi = min(k + need - 1, self.count)
+            if i < len(firsts):
+                hi = min(hi, firsts[i] - 1)
+            if hi >= k:
+                runs.append(self._lines(k, hi))
+                need -= hi - k + 1
+            k = hi + 1
+        return runs
 
     def around(self, first: int, last: int, middle: str | None = None) -> str:
         """The flanks of lines first..last, with `middle` between them, joined
         by newlines; `last` = first - 1 names the gap above line `first`."""
-        lines, n = self.unchanged, self.n
-        above = bisect_left(lines, first)
-        below = bisect_right(lines, last, above)
-        parts = []
-        if above:
-            parts.append(self._lines(max(0, above - n), above))
+        parts = self._above(first)
         if middle is not None:
             parts.append(middle)
-        if below < len(lines):
-            parts.append(self._lines(below, min(len(lines), below + n)))
+        parts.extend(self._below(last))
         return "\n".join(parts)
 
 
@@ -123,11 +167,12 @@ def select_target(
         src_with_ctx = src_plain
 
     # Every candidate range was validated against the target where it was
-    # built, so its text is a plain slice of the line index.
-    starts = line_starts(target_text)
-
+    # built, so its text is a plain slice between two line starts.
     def text_of(rng: CharacterRange) -> str:
-        return target_text[starts[rng.l1 - 1] + rng.c1 - 1 : starts[rng.l2 - 1] + rng.c2]
+        start = line_start(target_text, rng.l1)
+        if rng.l2 != rng.l1:
+            return target_text[start + rng.c1 - 1 : line_start(target_text, rng.l2) + rng.c2]
+        return target_text[start + rng.c1 - 1 : start + rng.c2]
 
     # Many candidates share a scoring string (every search hit at context 0
     # is the region's own text), so each distinct pair is scored once.

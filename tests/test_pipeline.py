@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from codemapper import regions
 from codemapper.candidates import Origin
 from codemapper.evaluation import EvalRecord, evaluate_record
 from codemapper.gitio import GitGateway, NotFound, RepoError
@@ -263,6 +264,35 @@ class TestMapRegion:
                 assert scores == sorted(scores, reverse=True)
                 checked += 1
         assert checked >= 16
+
+
+def test_a_region_near_the_top_indexes_only_the_top_of_each_text(repo_builder, monkeypatch):
+    """A 10k-line file edited near the top: mapping a region near the top
+    at context 15 fills only the first blocks of each text's line index."""
+    lines = [f"    value_{i} = compute(value_{i - 1}, {i})" for i in range(10_000)]
+    first = repo_builder.commit({"big.py": text(lines)})
+    lines[20] = "    value_20 = recompute(value_19, 20)"
+    second = repo_builder.commit({"big.py": text(lines)})
+    fills: dict[int, set[int]] = {}
+    fill = regions._newlines
+
+    def counting_fill(file_text, lo, hi):
+        fills.setdefault(len(file_text), set()).add(lo)
+        return fill(file_text, lo, hi)
+
+    monkeypatch.setattr(regions, "_newlines", counting_fill)
+    regions._starts.cache_clear()
+    # "value_11 = compute(value_10, 11)": one search hit, no flood.
+    source = Region(first, "big.py", make_range(12, 5, 12, 36))
+    try:
+        result = map_region(repo_builder.path, source, second)
+    finally:
+        regions._starts.cache_clear()
+    assert result.target == Region(second, "big.py", source.range)
+    size = len(text(lines))
+    assert size // regions._BLOCK > 50
+    assert len(fills) == 2  # the two texts differ in length
+    assert all(len(blocks) <= 2 for blocks in fills.values())
 
 
 class TestGitProcessBudget:

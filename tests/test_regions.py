@@ -1,9 +1,15 @@
 """Region model: range validation, offset arithmetic, text extraction."""
 
+import random
+import sys
+import threading
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codemapper import regions
 from codemapper.regions import (
     DELETED,
     AbsInterval,
@@ -14,6 +20,7 @@ from codemapper.regions import (
     Region,
     extract_text,
     line_count,
+    line_start,
     line_text,
     make_range,
     normalize_newlines,
@@ -182,6 +189,158 @@ def test_line_index_matches_split_across_cache_evictions(texts):
             if char != "\n":
                 interval = AbsInterval(offset, offset + 1)
                 assert to_abs_interval(text, range_of_interval(text, interval)) == interval
+
+
+@st.composite
+def block_crossing_texts(draw, block):
+    """Texts whose lines straddle blocks of `block` characters: lines whose
+    newline is the last or the first character of a block, lines several
+    blocks long, empty lines, astral code points, with or without a final
+    newline; no line at all gives the empty text."""
+    units = st.text(alphabet="ab \U0001F600", min_size=1, max_size=3)
+    lines, pos = [], 0  # pos: offset of the next line's first character
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["ends_block", "starts_block", "long", "any"]))
+        if kind == "ends_block":
+            n = (block - 1 - pos) % block
+        elif kind == "starts_block":
+            n = -pos % block
+        elif kind == "long":
+            n = 3 * block + 2
+        else:
+            n = draw(st.integers(0, 2 * block))
+        unit = draw(units)
+        lines.append((unit * (n // len(unit) + 1))[:n])
+        pos += n + 1
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture
+def fresh_index():
+    """Empties the line-index cache around a test, so no index built under
+    one block size is read under another."""
+    regions._starts.cache_clear()
+    yield
+    regions._starts.cache_clear()
+
+
+def split_reference(text):
+    """Line starts (then len(text) + 1) and the (line, col) of every offset,
+    from text.split alone."""
+    lines = text.split("\n")
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
+    positions = [(k, c) for k, line in enumerate(lines, 1) for c in range(1, len(line) + 2)]
+    return lines, starts, positions[: len(text)]
+
+
+class TestLazyLineIndex:
+    """The block-wise index against text.split, with blocks small enough
+    that every generated text crosses many of them."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, regions._BLOCK])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_lookups_match_split_at_every_block_size(self, block, data):
+        text = data.draw(block_crossing_texts(block))
+        backward = data.draw(st.booleans())
+        lines, starts, positions = split_reference(text)
+        count = len(lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "_BLOCK", block)
+            regions._starts.cache_clear()
+            try:
+                assert line_count(text) == count
+                ks = range(1, count + 2)
+                for k in reversed(ks) if backward else ks:
+                    assert line_start(text, k) == starts[k - 1]
+                for k in (0, count + 2):
+                    with pytest.raises(IndexError):
+                        line_start(text, k)
+                assert [line_text(text, k) for k in range(1, count + 1)] == lines
+                for k in (0, count + 1):
+                    with pytest.raises(IndexError):
+                        line_text(text, k)
+                # A fresh index, so offsets fill the blocks themselves.
+                regions._starts.cache_clear()
+                offsets = range(len(text))
+                for offset in reversed(offsets) if backward else offsets:
+                    assert position_of_offset(text, offset) == positions[offset]
+                for offset in (-1, len(text)):
+                    with pytest.raises(OutOfBounds):
+                        position_of_offset(text, offset)
+            finally:
+                regions._starts.cache_clear()
+
+    def test_threads_never_see_a_half_filled_block(self, monkeypatch, fresh_index):
+        """Threads look up lines and offsets of three multi-block texts
+        through the 2-entry cache while blocks fill lazily; a watcher reads
+        the cached indexes' blocks throughout. Every answer and every block
+        it sees must equal the reference."""
+        block = 64
+        monkeypatch.setattr(regions, "_BLOCK", block)
+        gen = random.Random(3)
+        texts = [
+            "".join("x" * gen.randrange(0, 150) + "\n" for _ in range(400)) + str(n)
+            for n in range(3)
+        ]
+        refs = {text: split_reference(text) for text in texts}
+        blocks = {
+            text: [
+                [i for i in range(lo, min(lo + block, len(text))) if text[i] == "\n"]
+                for lo in range(0, len(text), block)
+            ]
+            for text in texts
+        }
+        fill = regions._newlines
+
+        def slow_fill(text, lo, hi):
+            found = fill(text, lo, hi)
+            time.sleep(0)  # another thread runs between finding and storing
+            return found
+
+        monkeypatch.setattr(regions, "_newlines", slow_fill)
+        errors: list[str] = []
+        done = threading.Event()
+
+        def resolve(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                # The third text is rarer, so the cache both hits and evicts.
+                text = texts[rng.choice((0, 0, 1, 1, 1, 2))]
+                lines, starts, positions = refs[text]
+                k = rng.randrange(1, len(lines) + 2)
+                if line_start(text, k) != starts[k - 1]:
+                    errors.append(f"line_start {k}")
+                offset = rng.randrange(len(text))
+                if position_of_offset(text, offset) != positions[offset]:
+                    errors.append(f"position_of_offset {offset}")
+
+        def watch():
+            while not done.is_set():
+                for text in texts[:2]:
+                    for b, found in enumerate(list(regions._starts(text).blocks)):
+                        if found is not None and list(found) != blocks[text][b]:
+                            errors.append(f"block {b} seen as {list(found)}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            workers = [threading.Thread(target=resolve, args=(n,)) for n in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            done.set()
+            watcher.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers + [watcher])
+        assert errors == []
 
 
 class TestRegion:

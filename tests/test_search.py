@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from codemapper import regions
 from codemapper.candidates import Origin
 from codemapper.regions import AbsInterval, Region, extract_text, range_of_interval
 from codemapper.search import search_text
@@ -78,3 +79,58 @@ def test_count_matches_naive_scan(needle, haystack):
         assert cand.origin is Origin.SEARCH
         assert cand.region == Region("c1", "f.py", cand.region.range)
         assert extract_text(haystack, cand.region.range) == needle
+
+
+class _NewlineScans(str):
+    """A text that counts the characters its own newline scans cover and
+    refuses to be searched backward."""
+
+    def __new__(cls, value):
+        text = super().__new__(cls, value)
+        text.scanned = 0
+        return text
+
+    def _scan(self, sub, start, end):
+        if sub == "\n":
+            start = 0 if start is None else start
+            end = len(self) if end is None else min(end, len(self))
+            self.scanned += max(0, end - start)
+
+    def find(self, sub, start=None, end=None):
+        self._scan(sub, start, end)
+        return str.find(self, sub, start, end)
+
+    def count(self, sub, start=None, end=None):
+        self._scan(sub, start, end)
+        return str.count(self, sub, start, end)
+
+    def rfind(self, *args):
+        raise AssertionError("scanned backward")
+
+    rindex = rfind
+
+
+def test_a_one_line_text_places_each_hit_without_walking_its_line(monkeypatch):
+    """10,500 hits on one 1.05 MB line: every block of the line index is
+    filled at most once, and no newline scan covers the text more than twice
+    in all (once for the per-block counts, once for the fills), so no hit's
+    column comes from scanning back along the line."""
+    target = _NewlineScans(("a" * 99 + "x") * 10_500)
+    fills = []
+    fill = regions._newlines
+
+    def counting_fill(text, lo, hi):
+        fills.append(lo)
+        return fill(text, lo, hi)
+
+    monkeypatch.setattr(regions, "_newlines", counting_fill)
+    regions._starts.cache_clear()
+    try:
+        found = search_text("x", "f.py", "c1", target)
+    finally:
+        regions._starts.cache_clear()
+    assert len(found) == 10_500
+    assert [c.region.range.c1 for c in found[:3]] == [100, 200, 300]
+    assert found[-1].region.range.as_tuple() == (1, len(target), 1, len(target))
+    assert len(fills) == len(set(fills)) <= -(-len(target) // regions._BLOCK)
+    assert target.scanned <= 2 * len(target)
