@@ -31,12 +31,6 @@ class OverlapKind(Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class OverlapRelation:
-    kind: OverlapKind
-    hunk: Hunk
-
-
 class Origin(Enum):
     DIFF = "diff"
     MOVEMENT = "movement"
@@ -67,7 +61,7 @@ class Candidate:
         return self.origin is Origin.MOVEMENT or self.via_movement
 
 
-def classify_overlap(hunk: Hunk, source_range: CharacterRange) -> OverlapRelation:
+def classify_overlap(hunk: Hunk, source_range: CharacterRange) -> OverlapKind:
     """Positional relationship of a hunk's source block to the region lines.
 
     The five kinds are mutually exclusive and jointly exhaustive for every
@@ -76,16 +70,14 @@ def classify_overlap(hunk: Hunk, source_range: CharacterRange) -> OverlapRelatio
     hs, he = hunk.source_start, hunk.source_end
     r1, r2 = source_range.l1, source_range.l2
     if hs <= r1 and he >= r2:
-        kind = OverlapKind.FULLY_COVERED
-    elif hs <= r1 <= he < r2:
-        kind = OverlapKind.TOP
-    elif r1 < hs <= r2 <= he:
-        kind = OverlapKind.BOTTOM
-    elif r1 < hs and he < r2:
-        kind = OverlapKind.MIDDLE
-    else:
-        kind = OverlapKind.DISJOINT
-    return OverlapRelation(kind, hunk)
+        return OverlapKind.FULLY_COVERED
+    if hs <= r1 <= he < r2:
+        return OverlapKind.TOP
+    if r1 < hs <= r2 <= he:
+        return OverlapKind.BOTTOM
+    if r1 < hs and he < r2:
+        return OverlapKind.MIDDLE
+    return OverlapKind.DISJOINT
 
 
 def dedup_candidates(candidates) -> list[Candidate]:
@@ -385,9 +377,8 @@ def _extract_from_report(
     middles: list[Hunk] = []
 
     for hunk in hunks:
-        relation = classify_overlap(hunk, source_range)
+        kind = classify_overlap(hunk, source_range)
         processed.append(hunk)
-        kind = relation.kind
         if kind is OverlapKind.FULLY_COVERED:
             full = hunk
         elif kind is OverlapKind.TOP:

@@ -1,7 +1,7 @@
 """Bundled fixture corpus: small scripted git repositories covering the
 mapping scenarios the tool is designed for (token refinement, text search,
 vertical movement, deletions, offsets, renames), plus a JSONL dataset and a
-manifest of expected outcomes.
+manifest of expected outcomes. Every scenario is one entry of `SCENARIOS`.
 
 Build it anywhere with:  python3 -m codemapper.fixtures DEST
 then evaluate with:      codemapper eval --dataset DEST/dataset.jsonl
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from codemapper.evaluation import EvalRecord, dump_dataset
 from codemapper.gitio import _diff_env
@@ -19,10 +20,14 @@ from codemapper.regions import (
     DELETED,
     AbsInterval,
     CharacterRange,
+    DeletedRegion,
     Region,
     line_text,
     range_of_interval,
 )
+
+# Every fixture commit carries this date, so two builds give the same hashes.
+_DATE = "2024-01-01T00:00:00+00:00"
 
 
 def span_of(text: str, needle: str, occurrence: int = 1) -> CharacterRange:
@@ -41,16 +46,35 @@ def line_span(text: str, first: int, last: int) -> CharacterRange:
 
 @dataclass(frozen=True)
 class FixtureCase:
-    name: str
     record: EvalRecord
     outcome: str  # expected outcome kind on a full-config run
 
 
-def _git(cwd, *args):
+# One side of a case: (version index, file, where). `where` is a needle, a
+# (needle, occurrence) pair or a (first, last) line pair; a side with no file
+# is the deleted region.
+Side = tuple[int, str | None, str | tuple[str, int] | tuple[int, int] | None]
+
+
+class Row(NamedTuple):
+    name: str
+    tags: tuple[str, ...]
+    outcome: str  # expected outcome kind on a full-config run
+    source: Side
+    target: Side
+
+
+class Scenario(NamedTuple):
+    repo: str
+    versions: list[dict[str, str | None]]  # files written (None: removed) per commit
+    rows: list[Row]
+
+
+def _git(cwd, *args, **env):
     # The caller's config (commit.gpgsign, hooks) must not change what gets
     # built; the repository's own user.name and user.email still apply.
     proc = subprocess.run(
-        ["git", *args], cwd=cwd, env=_diff_env(), capture_output=True, text=True
+        ["git", *args], cwd=cwd, env={**_diff_env(), **env}, capture_output=True, text=True
     )
     if proc.returncode != 0:
         raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr}")
@@ -73,9 +97,24 @@ def _build_repo(root: Path, name: str, versions: list[dict[str, str | None]]) ->
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(content, encoding="utf-8")
         _git(repo, "add", "-A")
-        _git(repo, "commit", "-q", "-m", f"version {i + 1}")
+        _git(
+            repo, "commit", "-q", "-m", f"version {i + 1}",
+            GIT_AUTHOR_DATE=_DATE, GIT_COMMITTER_DATE=_DATE,
+        )
         shas.append(_git(repo, "rev-parse", "HEAD").strip())
     return shas
+
+
+def _region(scenario: Scenario, shas: list[str], side: Side) -> Region | DeletedRegion:
+    version, file, where = side
+    if file is None:
+        return DELETED
+    # The file as it stands at `version`: the latest version that wrote it.
+    text = next(v[file] for v in reversed(scenario.versions[: version + 1]) if file in v)
+    if isinstance(where, str):
+        where = (where, 1)
+    span = span_of(text, *where) if isinstance(where[0], str) else line_span(text, *where)
+    return Region(shas[version], file, span)
 
 
 def _text(lines) -> str:
@@ -128,38 +167,6 @@ MOVE_MODIFY_V2 = _text(
     ]
 )
 
-
-def _case_move_modify(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root,
-        "move_modify",
-        [{"tracker.py": MOVE_MODIFY_V1}, {"tracker.py": MOVE_MODIFY_V2}],
-    )
-    repo = "repos/move_modify"
-    function_region = Region(old, "tracker.py", line_span(MOVE_MODIFY_V1, 6, 9))
-    function_expected = Region(new, "tracker.py", line_span(MOVE_MODIFY_V2, 14, 17))
-    attribute_region = Region(old, "tracker.py", span_of(MOVE_MODIFY_V1, "self.y", 2))
-    attribute_expected = Region(new, "tracker.py", span_of(MOVE_MODIFY_V2, "self.y", 2))
-    return [
-        FixtureCase(
-            "moved_function",
-            EvalRecord(
-                repo, function_region, new, function_expected,
-                tags=("python", "move"), name="moved_function",
-            ),
-            "exact",
-        ),
-        FixtureCase(
-            "attribute_in_modified_line",
-            EvalRecord(
-                repo, attribute_region, new, attribute_expected,
-                tags=("python", "change"), name="attribute_in_modified_line",
-            ),
-            "exact",
-        ),
-    ]
-
-
 # -- scenario: token replaced after a shared prefix (refinement) --------------
 
 REFINE_V1 = _text(
@@ -174,33 +181,6 @@ REFINE_V1 = _text(
 )
 
 REFINE_V2 = REFINE_V1.replace("values.old", "values.updated")
-
-
-def _case_refine(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "refine", [{"update.js": REFINE_V1}, {"update.js": REFINE_V2}]
-    )
-    forward = EvalRecord(
-        "repos/refine",
-        Region(old, "update.js", span_of(REFINE_V1, "old")),
-        new,
-        Region(new, "update.js", span_of(REFINE_V2, "updated")),
-        tags=("javascript", "change", "forward"),
-        name="token_refined",
-    )
-    backward = EvalRecord(
-        "repos/refine",
-        Region(new, "update.js", span_of(REFINE_V2, "updated")),
-        old,
-        Region(old, "update.js", span_of(REFINE_V1, "old")),
-        tags=("javascript", "change", "backward"),
-        name="token_refined_backward",
-    )
-    return [
-        FixtureCase("token_refined", forward, "exact"),
-        FixtureCase("token_refined_backward", backward, "exact"),
-    ]
-
 
 # -- scenario: unchanged token inside a reordered line (text search) ----------
 
@@ -218,22 +198,6 @@ SEARCH_V2 = SEARCH_V1.replace(
     "result = combine(alpha, beta, gamma, self.y)",
     "result = self.y.combine(alpha, beta, gamma)",
 )
-
-
-def _case_search(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "search", [{"build.py": SEARCH_V1}, {"build.py": SEARCH_V2}]
-    )
-    record = EvalRecord(
-        "repos/search",
-        Region(old, "build.py", span_of(SEARCH_V1, "self.y")),
-        new,
-        Region(new, "build.py", span_of(SEARCH_V2, "self.y")),
-        tags=("python", "change"),
-        name="token_found_by_search",
-    )
-    return [FixtureCase("token_found_by_search", record, "exact")]
-
 
 # -- scenario: two distant lines swapped (vertical movement) ------------------
 # The swapped lines are far enough apart that every diff algorithm keeps the
@@ -274,20 +238,6 @@ SWAP_V2 = _text(
     ]
 )
 
-
-def _case_swap(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(root, "swap", [{"boot.go": SWAP_V1}, {"boot.go": SWAP_V2}])
-    record = EvalRecord(
-        "repos/swap",
-        Region(old, "boot.go", line_span(SWAP_V1, 10, 10)),
-        new,
-        Region(new, "boot.go", line_span(SWAP_V2, 3, 3)),
-        tags=("go", "move"),
-        name="swapped_lines",
-    )
-    return [FixtureCase("swapped_lines", record, "exact")]
-
-
 # -- scenario: a suppression comment is deleted --------------------------------
 
 DELETE_V1 = _text(
@@ -321,22 +271,6 @@ DELETE_V2 = _text(
     ]
 )
 
-
-def _case_delete(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "delete", [{"app.py": DELETE_V1}, {"app.py": DELETE_V2}]
-    )
-    record = EvalRecord(
-        "repos/delete",
-        Region(old, "app.py", span_of(DELETE_V1, "# pylint: disable=broad-except")),
-        new,
-        DELETED,
-        tags=("python", "delete"),
-        name="suppression_deleted",
-    )
-    return [FixtureCase("suppression_deleted", record, "correct_deletion")]
-
-
 # -- scenario: multi-line region with its interior line changed ---------------
 
 MULTI_V1 = _text(
@@ -353,22 +287,6 @@ MULTI_V1 = _text(
 )
 
 MULTI_V2 = MULTI_V1.replace("beta := sample(2)", "beta := sample(20)")
-
-
-def _case_multi(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "multi", [{"metrics.go": MULTI_V1}, {"metrics.go": MULTI_V2}]
-    )
-    record = EvalRecord(
-        "repos/multi",
-        Region(old, "metrics.go", line_span(MULTI_V1, 4, 6)),
-        new,
-        Region(new, "metrics.go", line_span(MULTI_V2, 4, 6)),
-        tags=("go", "change"),
-        name="block_with_inner_change",
-    )
-    return [FixtureCase("block_with_inner_change", record, "exact")]
-
 
 # -- scenario: insertion above plus a token change inside the region ----------
 
@@ -396,22 +314,6 @@ OFFSET_V2 = _text(
     ]
 )
 
-
-def _case_offset(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "offset", [{"billing.py": OFFSET_V1}, {"billing.py": OFFSET_V2}]
-    )
-    record = EvalRecord(
-        "repos/offset",
-        Region(old, "billing.py", span_of(OFFSET_V1, "rate_old")),
-        new,
-        Region(new, "billing.py", span_of(OFFSET_V2, "rate_new")),
-        tags=("python", "change"),
-        name="shifted_and_changed",
-    )
-    return [FixtureCase("shifted_and_changed", record, "exact")]
-
-
 # -- scenario: file renamed, then its content edited ---------------------------
 
 RENAME_V1 = _text(
@@ -427,28 +329,6 @@ RENAME_V1 = _text(
 
 RENAME_V3 = RENAME_V1.replace("normalize_v1", "normalize_v2")
 
-
-def _case_rename(root: Path) -> list[FixtureCase]:
-    shas = _build_repo(
-        root,
-        "rename",
-        [
-            {"utils.py": RENAME_V1},
-            {"utils.py": None, "helpers.py": RENAME_V1},
-            {"helpers.py": RENAME_V3},
-        ],
-    )
-    record = EvalRecord(
-        "repos/rename",
-        Region(shas[0], "utils.py", span_of(RENAME_V1, "normalize_v1")),
-        shas[2],
-        Region(shas[2], "helpers.py", span_of(RENAME_V3, "normalize_v2")),
-        tags=("python", "rename"),
-        name="renamed_file_edit",
-    )
-    return [FixtureCase("renamed_file_edit", record, "exact")]
-
-
 # -- scenario: configuration value replaced ------------------------------------
 
 CONFIG_V1 = _text(
@@ -463,22 +343,6 @@ CONFIG_V1 = _text(
 )
 
 CONFIG_V2 = CONFIG_V1.replace("timeout: 30", "timeout: 45")
-
-
-def _case_config(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "config", [{"service.yaml": CONFIG_V1}, {"service.yaml": CONFIG_V2}]
-    )
-    record = EvalRecord(
-        "repos/config",
-        Region(old, "service.yaml", span_of(CONFIG_V1, "30")),
-        new,
-        Region(new, "service.yaml", span_of(CONFIG_V2, "45")),
-        tags=("yaml", "change"),
-        name="config_value_changed",
-    )
-    return [FixtureCase("config_value_changed", record, "exact")]
-
 
 # -- scenario: a whole block deleted while another line changes ---------------
 
@@ -512,33 +376,55 @@ BLOCK_V2 = _text(
     ]
 )
 
-
-def _case_block_delete(root: Path) -> list[FixtureCase]:
-    old, new = _build_repo(
-        root, "block_delete", [{"Cache.java": BLOCK_V1}, {"Cache.java": BLOCK_V2}]
-    )
-    record = EvalRecord(
-        "repos/block_delete",
-        Region(old, "Cache.java", line_span(BLOCK_V1, 6, 7)),
-        new,
-        DELETED,
-        tags=("java", "delete"),
-        name="counter_block_deleted",
-    )
-    return [FixtureCase("counter_block_deleted", record, "correct_deletion")]
-
-
-_BUILDERS = (
-    _case_move_modify,
-    _case_refine,
-    _case_search,
-    _case_swap,
-    _case_delete,
-    _case_multi,
-    _case_offset,
-    _case_rename,
-    _case_config,
-    _case_block_delete,
+SCENARIOS = (
+    Scenario("move_modify", [{"tracker.py": MOVE_MODIFY_V1}, {"tracker.py": MOVE_MODIFY_V2}], [
+        Row("moved_function", ("python", "move"), "exact",
+            (0, "tracker.py", (6, 9)), (1, "tracker.py", (14, 17))),
+        Row("attribute_in_modified_line", ("python", "change"), "exact",
+            (0, "tracker.py", ("self.y", 2)), (1, "tracker.py", ("self.y", 2))),
+    ]),
+    Scenario("refine", [{"update.js": REFINE_V1}, {"update.js": REFINE_V2}], [
+        Row("token_refined", ("javascript", "change", "forward"), "exact",
+            (0, "update.js", "old"), (1, "update.js", "updated")),
+        Row("token_refined_backward", ("javascript", "change", "backward"), "exact",
+            (1, "update.js", "updated"), (0, "update.js", "old")),
+    ]),
+    Scenario("search", [{"build.py": SEARCH_V1}, {"build.py": SEARCH_V2}], [
+        Row("token_found_by_search", ("python", "change"), "exact",
+            (0, "build.py", "self.y"), (1, "build.py", "self.y")),
+    ]),
+    Scenario("swap", [{"boot.go": SWAP_V1}, {"boot.go": SWAP_V2}], [
+        Row("swapped_lines", ("go", "move"), "exact",
+            (0, "boot.go", (10, 10)), (1, "boot.go", (3, 3))),
+    ]),
+    Scenario("delete", [{"app.py": DELETE_V1}, {"app.py": DELETE_V2}], [
+        Row("suppression_deleted", ("python", "delete"), "correct_deletion",
+            (0, "app.py", "# pylint: disable=broad-except"), (1, None, None)),
+    ]),
+    Scenario("multi", [{"metrics.go": MULTI_V1}, {"metrics.go": MULTI_V2}], [
+        Row("block_with_inner_change", ("go", "change"), "exact",
+            (0, "metrics.go", (4, 6)), (1, "metrics.go", (4, 6))),
+    ]),
+    Scenario("offset", [{"billing.py": OFFSET_V1}, {"billing.py": OFFSET_V2}], [
+        Row("shifted_and_changed", ("python", "change"), "exact",
+            (0, "billing.py", "rate_old"), (1, "billing.py", "rate_new")),
+    ]),
+    Scenario("rename", [
+        {"utils.py": RENAME_V1},
+        {"utils.py": None, "helpers.py": RENAME_V1},
+        {"helpers.py": RENAME_V3},
+    ], [
+        Row("renamed_file_edit", ("python", "rename"), "exact",
+            (0, "utils.py", "normalize_v1"), (2, "helpers.py", "normalize_v2")),
+    ]),
+    Scenario("config", [{"service.yaml": CONFIG_V1}, {"service.yaml": CONFIG_V2}], [
+        Row("config_value_changed", ("yaml", "change"), "exact",
+            (0, "service.yaml", "30"), (1, "service.yaml", "45")),
+    ]),
+    Scenario("block_delete", [{"Cache.java": BLOCK_V1}, {"Cache.java": BLOCK_V2}], [
+        Row("counter_block_deleted", ("java", "delete"), "correct_deletion",
+            (0, "Cache.java", (6, 7)), (1, None, None)),
+    ]),
 )
 
 
@@ -547,11 +433,21 @@ def build_corpus(dest) -> list[FixtureCase]:
     root = Path(dest)
     root.mkdir(parents=True, exist_ok=True)
     cases: list[FixtureCase] = []
-    for builder in _BUILDERS:
-        cases.extend(builder(root))
+    for scenario in SCENARIOS:
+        shas = _build_repo(root, scenario.repo, scenario.versions)
+        for row in scenario.rows:
+            record = EvalRecord(
+                f"repos/{scenario.repo}",
+                _region(scenario, shas, row.source),
+                shas[row.target[0]],
+                _region(scenario, shas, row.target),
+                tags=row.tags,
+                name=row.name,
+            )
+            cases.append(FixtureCase(record, row.outcome))
     dump_dataset([case.record for case in cases], root / "dataset.jsonl")
     manifest = [
-        {"name": case.name, "repo": case.record.repo, "outcome": case.outcome}
+        {"name": case.record.name, "repo": case.record.repo, "outcome": case.outcome}
         for case in cases
     ]
     (root / "manifest.json").write_text(

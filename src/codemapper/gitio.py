@@ -48,7 +48,8 @@ def _diff_env() -> dict[str, str]:
     regex's [[:alnum:]] stops at non-ASCII letters and splits identifiers
     such as `naïve_value`. Repository commands keep the caller's config,
     because safe.directory lives there; `codemapper.fixtures` builds its
-    repositories under this environment too.
+    repositories under this environment too, and so does the test suite's
+    `RepoBuilder`, through `fixtures._git`.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
     return {

@@ -1,11 +1,12 @@
 """Shared helpers: scripted git repositories for integration tests."""
 
 import shutil
-import subprocess
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+from codemapper.fixtures import _git
 
 # Every run tries the same examples, and a property test that spawns git is
 # not failed by hypothesis's 200 ms default deadline on a slow machine.
@@ -14,23 +15,16 @@ settings.load_profile("deterministic")
 
 
 class RepoBuilder:
-    """Builds a throwaway git repository commit by commit."""
+    """Builds a throwaway git repository commit by commit, with git run as
+    the fixture corpus runs it: the caller's git config does not apply."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._git("init", "-q", "-b", "main")
-        self._git("config", "user.email", "fixtures@example.com")
-        self._git("config", "user.name", "Fixture Builder")
+        _git(self.path, "init", "-q", "-b", "main")
+        _git(self.path, "config", "user.email", "fixtures@example.com")
+        _git(self.path, "config", "user.name", "Fixture Builder")
         self.commits: list[str] = []
-
-    def _git(self, *args) -> str:
-        proc = subprocess.run(
-            ["git", *args], cwd=self.path, capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr}")
-        return proc.stdout
 
     def commit(self, files: dict[str, str | None], message: str = "change") -> str:
         """Write/remove the given files and commit; returns the commit hash."""
@@ -41,17 +35,17 @@ class RepoBuilder:
             else:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(content, encoding="utf-8")
-        self._git("add", "-A")
-        self._git("commit", "-q", "-m", message, "--allow-empty")
-        sha = self._git("rev-parse", "HEAD").strip()
+        _git(self.path, "add", "-A")
+        _git(self.path, "commit", "-q", "-m", message, "--allow-empty")
+        sha = _git(self.path, "rev-parse", "HEAD").strip()
         self.commits.append(sha)
         return sha
 
     def commit_binary(self, name: str, data: bytes, message: str = "binary") -> str:
         (self.path / name).write_bytes(data)
-        self._git("add", "-A")
-        self._git("commit", "-q", "-m", message)
-        sha = self._git("rev-parse", "HEAD").strip()
+        _git(self.path, "add", "-A")
+        _git(self.path, "commit", "-q", "-m", message)
+        sha = _git(self.path, "rev-parse", "HEAD").strip()
         self.commits.append(sha)
         return sha
 

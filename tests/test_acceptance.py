@@ -148,7 +148,7 @@ def test_criterion_3_classification_totality():
                     holding = [n for n, p in predicates.items() if p(hs, he, r1, r2)]
                     kind = classify_overlap(
                         Hunk(hs, he, 1, 1), make_range(r1, 1, r2, 1)
-                    ).kind.value
+                    ).value
                     expected = holding[0] if holding else "disjoint"
                     if len(holding) > 1 or kind != expected:
                         violations += 1
@@ -374,32 +374,13 @@ def test_criterion_7_context_size_robustness(corpus):
     assert max(plateau) - min(plateau) < 0.05
 
 
-def test_criterion_8_performance_sanity(tmp_path, capsys):
+def test_criterion_8_performance_sanity(repo_builder, capsys):
     """One cmd_map over a 10k-line file finishes; < 3s is the soft target."""
-    repo = tmp_path / "bigrepo"
-    repo.mkdir()
-    import subprocess
-
-    def git(*args):
-        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
-
-    git("init", "-q", "-b", "main")
-    git("config", "user.email", "t@example.com")
-    git("config", "user.name", "t")
+    repo = repo_builder.path
     big_v1 = "".join(f"def fn_{i}(): return {i} * seed\n" for i in range(10_000))
-    (repo / "big.py").write_text(big_v1, encoding="utf-8")
-    git("add", "-A")
-    git("commit", "-q", "-m", "v1")
-    first = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True
-    ).stdout.strip()
+    first = repo_builder.commit({"big.py": big_v1}, "v1")
     big_v2 = big_v1.replace("def fn_5000(): return 5000 * seed", "def fn_5000(): return 5001 * seed")
-    (repo / "big.py").write_text(big_v2, encoding="utf-8")
-    git("add", "-A")
-    git("commit", "-q", "-m", "v2")
-    second = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True
-    ).stdout.strip()
+    second = repo_builder.commit({"big.py": big_v2}, "v2")
 
     started = time.perf_counter()
     code = cli_main(

@@ -27,27 +27,27 @@ def hunk(hs, he, ts=1, te=1):
 
 class TestClassifyOverlap:
     def test_fully_covered(self):
-        rel = classify_overlap(hunk(5, 10), make_range(6, 1, 8, 3))
-        assert rel.kind is OverlapKind.FULLY_COVERED
+        kind = classify_overlap(hunk(5, 10), make_range(6, 1, 8, 3))
+        assert kind is OverlapKind.FULLY_COVERED
 
     def test_top(self):
-        assert classify_overlap(hunk(5, 7), make_range(6, 1, 10, 3)).kind is OverlapKind.TOP
+        assert classify_overlap(hunk(5, 7), make_range(6, 1, 10, 3)) is OverlapKind.TOP
 
     def test_bottom(self):
-        assert classify_overlap(hunk(8, 12), make_range(6, 1, 10, 3)).kind is OverlapKind.BOTTOM
+        assert classify_overlap(hunk(8, 12), make_range(6, 1, 10, 3)) is OverlapKind.BOTTOM
 
     def test_middle(self):
-        assert classify_overlap(hunk(7, 8), make_range(6, 1, 10, 3)).kind is OverlapKind.MIDDLE
+        assert classify_overlap(hunk(7, 8), make_range(6, 1, 10, 3)) is OverlapKind.MIDDLE
 
     def test_disjoint(self):
-        assert classify_overlap(hunk(20, 22), make_range(6, 1, 8, 3)).kind is OverlapKind.DISJOINT
+        assert classify_overlap(hunk(20, 22), make_range(6, 1, 8, 3)) is OverlapKind.DISJOINT
 
     def test_insertion_inside_region_is_middle(self):
         # Empty source block between region lines splits its interior.
-        assert classify_overlap(hunk(8, 7), make_range(6, 1, 10, 3)).kind is OverlapKind.MIDDLE
+        assert classify_overlap(hunk(8, 7), make_range(6, 1, 10, 3)) is OverlapKind.MIDDLE
 
     def test_insertion_above_region_is_disjoint(self):
-        assert classify_overlap(hunk(6, 5), make_range(6, 1, 10, 3)).kind is OverlapKind.DISJOINT
+        assert classify_overlap(hunk(6, 5), make_range(6, 1, 10, 3)) is OverlapKind.DISJOINT
 
     def test_exhaustive_totality_small(self):
         predicates = {
@@ -62,7 +62,7 @@ class TestClassifyOverlap:
                     for r2 in range(r1, 7):
                         holds = [k for k, p in predicates.items() if p(hs, he, r1, r2)]
                         assert len(holds) <= 1
-                        got = classify_overlap(hunk(hs, he), make_range(r1, 1, r2, 1)).kind
+                        got = classify_overlap(hunk(hs, he), make_range(r1, 1, r2, 1))
                         expected = holds[0] if holds else OverlapKind.DISJOINT
                         assert got is expected
 

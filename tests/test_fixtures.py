@@ -1,11 +1,26 @@
-"""The bundled fixture corpus builds the same way under any git config."""
+"""The bundled fixture corpus, and the test repositories, build the same way
+under any git config, and the corpus builds the same bytes every time."""
 
 import subprocess
 
+import pytest
+
 from codemapper.fixtures import build_corpus
+from conftest import RepoBuilder
 
 
-def test_build_ignores_the_callers_global_git_config(tmp_path, monkeypatch):
+def _corpus_repo(dest):
+    return dest / build_corpus(dest)[0].record.repo
+
+
+def _builder_repo(dest):
+    builder = RepoBuilder(dest)
+    builder.commit({"a.txt": "one\n"})
+    return builder.path
+
+
+@pytest.mark.parametrize("build", [_corpus_repo, _builder_repo], ids=["corpus", "repo_builder"])
+def test_build_ignores_the_callers_global_git_config(tmp_path, monkeypatch, build):
     config = tmp_path / "gitconfig"
     config.write_text(
         "[commit]\n\tgpgsign = true\n"
@@ -14,11 +29,20 @@ def test_build_ignores_the_callers_global_git_config(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
-    cases = build_corpus(tmp_path / "corpus")
-    assert cases
-    repo = tmp_path / "corpus" / cases[0].record.repo
+    repo = build(tmp_path / "built")
     author = subprocess.run(
         ["git", "log", "-1", "--format=%an <%ae>"],
         cwd=repo, capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert author == "Fixture Builder <fixtures@example.com>"
+
+
+def test_two_builds_write_identical_files(tmp_path, monkeypatch):
+    build_corpus(tmp_path / "first")
+    # The caller's commit dates do not reach the corpus.
+    monkeypatch.setenv("GIT_AUTHOR_DATE", "2001-02-03T04:05:06+00:00")
+    monkeypatch.setenv("GIT_COMMITTER_DATE", "2001-02-03T04:05:06+00:00")
+    build_corpus(tmp_path / "second")
+    for name in ("dataset.jsonl", "manifest.json"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes()

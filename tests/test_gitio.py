@@ -15,7 +15,7 @@ from conftest import RepoBuilder
 import codemapper
 from codemapper import gitio
 from codemapper.diffparse import align, parse_word_diff
-from codemapper.fixtures import build_corpus
+from codemapper.fixtures import _git, build_corpus
 from codemapper.gitio import (
     ALL_CONFIGS,
     Algorithm,
@@ -140,7 +140,7 @@ class TestReaderLifecycle:
             for name in (sha, sha[:12], "HEAD", "main"):
                 assert gateway.file_content(name, "f.txt") == content
             assert gateway.read_objects(["HEAD^{commit}"])[0].oid == sha
-            repo_builder._git("pack-refs", "--all")
+            _git(repo_builder.path, "pack-refs", "--all")
         assert _reader(repo_builder.path).proc.pid == pid
 
     def test_a_reader_killed_between_calls_is_replaced(self, repo_builder):
@@ -309,7 +309,7 @@ class TestResolveTargetFile:
         third = repo_builder.commit({"café.py": None, "naïve.py": BASE + "main\n"})
         # A branch that renames the file apart from `second`: neither tip is
         # an ancestor of the other, so only the endpoint diff finds it.
-        repo_builder._git("checkout", "-q", "-b", "side", first)
+        _git(repo_builder.path, "checkout", "-q", "-b", "side", first)
         side = repo_builder.commit({"café.py": None, "naïve.py": BASE + "side\n"})
         for source_commit, target_commit in [(first, third), (third, first), (second, side)]:
             path = "naïve.py" if source_commit == third else "café.py"
@@ -387,17 +387,17 @@ class TestRenameTracking:
         # the old name is then taken by a new file.
         b.commit({"g.py": None, "g2.py": _body("g", 1, 2, 3)})
         b.commit({"g2.py": None, "g3.py": _body("g", *range(1, 7)), "g.py": _body("n")})
-        b._git("checkout", "-q", "-b", "side", fork)
+        _git(b.path, "checkout", "-q", "-b", "side", fork)
         b.commit({"s.py": _body("s")})
         b.commit({"s.py": None, "t.py": _body("s")})
-        b._git("checkout", "-q", "main")
-        b._git("merge", "-q", "--no-ff", "-m", "merge side", "side")
-        b.commits.append(b._git("rev-parse", "HEAD").strip())
+        _git(b.path, "checkout", "-q", "main")
+        _git(b.path, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+        b.commits.append(_git(b.path, "rev-parse", "HEAD").strip())
         b.commit({"t.py": None, "u.py": _body("s", 9)})
         commits = [start, *b.commits[1:]]
         gateway = GitGateway(b.path)
         for src in commits:
-            paths = b._git("ls-tree", "--name-only", src).split()
+            paths = _git(b.path, "ls-tree", "--name-only", src).split()
             for tgt in commits:
                 reference = _OneWalk(gateway, src, tgt)
                 for path in paths:
