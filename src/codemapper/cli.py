@@ -9,6 +9,7 @@ errors (git output codemapper cannot read, or any other bug).
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from codemapper.diffparse import MalformedDiff
@@ -174,9 +175,6 @@ def cmd_map(args) -> int:
     except MalformedDiff as exc:
         print(f"codemapper: internal error: cannot read git output: {exc}", file=sys.stderr)
         return EX_SOFTWARE
-    except ValueError as exc:
-        print(f"codemapper: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
     if args.format == "json":
         print(json.dumps(_map_output(result, args), indent=2))
     else:
@@ -242,9 +240,12 @@ def cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "map":
-        return cmd_map(args)
-    return cmd_eval(args)
+    try:
+        return cmd_map(args) if args.command == "map" else cmd_eval(args)
+    except Exception as exc:  # a bug: any error a command does not report itself
+        traceback.print_exc()  # for the bug report; the summary line comes last
+        print(f"codemapper: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

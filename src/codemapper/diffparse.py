@@ -80,9 +80,12 @@ def parse_word_diff(text: str) -> list[Hunk]:
 
     Git ends lines with "\\n" only; a form feed or U+2028 inside a fragment
     belongs to the fragment. Body lines never start with "@", so every line
-    that does is a hunk header.
+    that does is a hunk header. A report that is not empty holds a hunk:
+    one without (a warning where the diff should be) raises MalformedDiff.
     """
     chunks = ("\n" + text).split("\n@@")
+    if text and len(chunks) == 1:
+        raise MalformedDiff(f"no hunk in a non-empty report: {text[:80]!r}")
     hunks = []
     for chunk in chunks[1:]:  # chunks[0] is the file header
         header, _, body = chunk.partition("\n")

@@ -9,14 +9,13 @@ separately.
 import hashlib
 import json
 import shutil
-import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from codemapper.gitio import GitGateway, RepoError, git_executable
+from codemapper.gitio import GitGateway, RepoError, run_git
 from codemapper.pipeline import map_region
 from codemapper.regions import (
     DELETED,
@@ -349,14 +348,11 @@ def _resolve_repo(repo: str, base_dir, cache_dir, git_bin) -> str:
             # Clone aside and rename into place, so concurrent evaluations
             # of one repository never share a half-made clone.
             fresh = Path(tempfile.mkdtemp(prefix=f".{clone.name}-", dir=cache_root))
-            proc = subprocess.run(
-                [git_executable(git_bin), "clone", "--quiet", repo, str(fresh)],
-                capture_output=True,
-            )
-            if proc.returncode != 0:
+            try:
+                run_git(["clone", "--quiet", repo, str(fresh)], git_bin=git_bin)
+            except RepoError:
                 shutil.rmtree(fresh, ignore_errors=True)
-                stderr = proc.stderr.decode("utf-8", errors="replace").strip()
-                raise RepoError(f"git clone {repo} failed ({proc.returncode}): {stderr}")
+                raise
             try:
                 fresh.rename(clone)
             except OSError:

@@ -8,14 +8,13 @@ then evaluate with:      codemapper eval --dataset DEST/dataset.jsonl
 """
 
 import json
-import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from codemapper.evaluation import EvalRecord, dump_dataset
-from codemapper.gitio import _diff_env
+from codemapper.gitio import _diff_env, run_git
 from codemapper.regions import (
     DELETED,
     AbsInterval,
@@ -70,15 +69,10 @@ class Scenario(NamedTuple):
     rows: list[Row]
 
 
-def _git(cwd, *args, **env):
+def _git(cwd, *args, **env) -> str:
     # The caller's config (commit.gpgsign, hooks) must not change what gets
     # built; the repository's own user.name and user.email still apply.
-    proc = subprocess.run(
-        ["git", *args], cwd=cwd, env={**_diff_env(), **env}, capture_output=True, text=True
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr}")
-    return proc.stdout
+    return run_git(args, cwd, env={**_diff_env(), **env}).decode()
 
 
 def _build_repo(root: Path, name: str, versions: list[dict[str, str | None]]) -> list[str]:

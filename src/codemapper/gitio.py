@@ -1,7 +1,11 @@
-"""All interaction with a git repository.
+"""All interaction with a git repository, and the only module that runs git.
 
 Content retrieval, word-level diff reports under four algorithms, and
-rename tracking of the containing file. Each repository gets one
+rename tracking of the containing file. Every git process is started by
+`_start` and judged by `_finish` (together, `run_git`): a git that cannot be
+started, or whose exit code is not the one expected, is a RepoError, never
+an answer. Every `--name-status -z` listing is read by `_name_status`, which
+refuses what is not one. Each repository gets one
 long-lived `git cat-file --batch` reader that resolves commits and reads
 files for every mapping until the interpreter exits, so git's delta-base
 cache stays warm across mappings. The rename pairs of each commit that
@@ -16,6 +20,7 @@ the CODEMAPPER_GIT environment variable or the `git_bin` argument).
 
 import atexit
 import os
+import re
 import subprocess
 import tempfile
 import threading
@@ -105,6 +110,33 @@ def git_executable(git_bin: str | None) -> str:
     return git_bin or os.environ.get(GIT_ENV_VAR) or "git"
 
 
+def _start(git: str, args, cwd, *, env=None, stdin=None, stderr=subprocess.PIPE):
+    """Start `git args` in `cwd` with stdout piped; the one place codemapper
+    starts a process. A git that cannot be started is a RepoError."""
+    try:
+        return subprocess.Popen(
+            [git, *args], cwd=cwd, env=env, stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
+        )
+    except OSError as exc:
+        raise RepoError(f"cannot run {git}: {exc}") from exc
+
+
+def _finish(proc, what: str, ok=(0,), error=RepoError) -> bytes:
+    """Wait for `proc` and return its stdout; `error`, carrying the exit
+    code and stderr, unless the exit code is in `ok`."""
+    stdout, stderr = proc.communicate()
+    if proc.returncode not in ok:
+        raise error(_failure(what, proc.returncode, stderr))
+    return stdout
+
+
+def run_git(args, cwd=None, *, git_bin=None, env=None, ok=(0,)) -> bytes:
+    """Run `git args` in `cwd` to the end; its stdout. RepoError if git
+    cannot be started or exits with a code not in `ok`."""
+    with _start(git_executable(git_bin), args, cwd, env=env) as proc:
+        return _finish(proc, args[0], ok)
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on (its affinity set where
     the platform has one), at least 1."""
@@ -136,16 +168,12 @@ class _Reader:
         # and stall cat-file.
         self.stderr = tempfile.TemporaryFile()
         try:
-            self.proc = subprocess.Popen(
-                [git, "cat-file", "--batch"],
-                cwd=key[0],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self.stderr,
+            self.proc = _start(
+                git, ["cat-file", "--batch"], key[0], stdin=subprocess.PIPE, stderr=self.stderr
             )
-        except OSError as exc:
+        except RepoError:
             self.stderr.close()
-            raise RepoError(f"cannot run {git}: {exc}") from exc
+            raise
 
     def ask(self, request: bytes, count: int) -> list[GitObject] | None:
         """The answers to `count` newline-terminated names; None if cat-file
@@ -263,15 +291,6 @@ class GitGateway:
         self.repo = Path(repo)
         self.git = git_executable(git_bin)
 
-    def _run(self, args, *, ok=(0,)) -> subprocess.CompletedProcess:
-        try:
-            proc = subprocess.run([self.git, *args], cwd=self.repo, capture_output=True)
-        except OSError as exc:
-            raise RepoError(f"cannot run {self.git}: {exc}") from exc
-        if proc.returncode not in ok:
-            raise RepoError(_failure(args[0], proc.returncode, proc.stderr))
-        return proc
-
     def read_objects(self, names) -> list[GitObject]:
         """Look up every object name with the repository's `git cat-file
         --batch` reader, which stays alive for later calls.
@@ -355,7 +374,9 @@ class GitGateway:
         pairs = cache.get(commit)
         if pairs is None:
             args = ["log", "--no-walk", "-M", "--diff-filter=R", "--name-status", "-z", "--format=", commit]
-            pairs = cache[commit] = _renames(self._run(args).stdout)
+            listing = _name_status(run_git(args, self.repo, git_bin=self.git))
+            pairs = [tuple(paths) for _, status, paths in listing if status[0] == "R"]
+            cache[commit] = pairs
         return pairs
 
     def _chained_rename(self, src: str, path: str, tgt: str) -> str | None:
@@ -370,8 +391,9 @@ class GitGateway:
         """
         # One merge base answers both directions: an ancestor is its own
         # merge base with a descendant. Exit 1 with no output: unrelated.
-        proc = self._run(["merge-base", src, tgt], ok=(0, 1))
-        base = proc.stdout.decode().strip()
+        base = run_git(
+            ["merge-base", src, tgt], self.repo, git_bin=self.git, ok=(0, 1)
+        ).decode().strip()
         if base not in (src, tgt):
             return None
         forward = base == src
@@ -381,8 +403,10 @@ class GitGateway:
         else:
             args += ["--diff-filter=A", f"{tgt}..{src}"]
         current = path
-        for commit, paths in _commit_paths(self._run(args).stdout):
-            if current in paths:
+        # One path per entry, deleted (or added) by its commit, so no later
+        # entry of that commit names the path a rename just led to.
+        for commit, _, paths in _name_status(run_git(args, self.repo, git_bin=self.git)):
+            if paths == [current]:
                 for pair in self._commit_renames(commit):
                     before, after = pair if forward else pair[::-1]
                     if before == current:
@@ -390,10 +414,10 @@ class GitGateway:
         return current if current != path else None
 
     def _endpoint_rename(self, src: str, path: str, tgt: str) -> str | None:
-        proc = self._run(
-            ["diff", *DIFF_ISOLATION, "--name-status", "-z", "--find-renames", src, tgt]
-        )
-        return next((new for old, new in _renames(proc.stdout) if old == path), None)
+        args = ["diff", *DIFF_ISOLATION, "--name-status", "-z", "--find-renames", src, tgt]
+        listing = _name_status(run_git(args, self.repo, git_bin=self.git))
+        news = [paths[1] for _, status, paths in listing if status[0] == "R" and paths[0] == path]
+        return news[0] if news else None
 
     # -- diff reports --------------------------------------------------------
 
@@ -407,7 +431,8 @@ class GitGateway:
         the oldest running one has been collected, so more diffs than CPUs
         would only share them. Identical texts yield no reports. Hunks carry
         no context lines, so line numbers come straight from the @@ headers.
-        Exit status 1 with no output is a git failure, not an empty diff.
+        The texts differ, so any exit status but 1, or exit status 1 with no
+        output, is a git failure, not an empty diff.
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
@@ -426,12 +451,7 @@ class GitGateway:
                 for i, algorithm in enumerate(algorithms):
                     while len(started) < min(i + width, len(algorithms)):
                         started.append(self._start_diff(algorithms[len(started)], tmp_path, env))
-                    proc = started[i]
-                    stdout, stderr = proc.communicate()
-                    if proc.returncode == 0:
-                        continue
-                    if proc.returncode != 1:
-                        raise DiffToolFailure(_failure("diff", proc.returncode, stderr))
+                    stdout = _finish(started[i], "diff", (1,), DiffToolFailure)
                     if not stdout:
                         raise DiffToolFailure(
                             f"git diff --diff-algorithm={algorithm.value} reported a "
@@ -454,7 +474,6 @@ class GitGateway:
     def _start_diff(self, algorithm: Algorithm, workdir: Path, env) -> subprocess.Popen:
         """Start the word diff of `a` against `b` in `workdir`."""
         args = [
-            self.git,
             "diff",
             *DIFF_ISOLATION,
             "--no-index",
@@ -468,55 +487,43 @@ class GitGateway:
             "a",
             "b",
         ]
-        try:
-            return subprocess.Popen(
-                args, cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-            )
-        except OSError as exc:
-            raise DiffToolFailure(f"cannot run {self.git}: {exc}") from exc
+        return _start(self.git, args, workdir, env=env)
 
 
-def _renames(output: bytes) -> list[tuple[str, str]]:
-    """(old, new) paths of the renames in `--name-status -z` output.
+# A git status letter, with a score after a rename or copy (R100, C075).
+_STATUS = re.compile(r"[ACDMRTUXB][0-9]*")
 
-    Each entry is a status field and one path, or two for a rename or copy,
-    all NUL-terminated; paths are raw bytes, never C-quoted, whatever the
-    caller's core.quotePath says.
+
+def _name_status(output: bytes):
+    """(commit, status, paths) per entry of `--name-status -z` output, in
+    order; `commit` is the hash of the latest \\x01-marked header before the
+    entry (`git log --format=%x01%H`), None before any.
+
+    Every field is NUL-terminated: a status, then one path, or two for a
+    rename or copy; the newline that ends a header starts the next field.
+    Paths are raw bytes, never C-quoted, whatever the caller's
+    core.quotePath says. Fields are read by position, so a path is never
+    taken for a status or a header. A status git does not print, or a
+    listing cut short, raises RepoError.
     """
     fields = os.fsdecode(output).split("\0")
-    pairs = []
-    i = 0
-    while i + 1 < len(fields):
-        status = fields[i]
-        if status.startswith("R"):
-            pairs.append((fields[i + 1], fields[i + 2]))
-        i += 3 if status.startswith(("R", "C")) else 2
-    return pairs
-
-
-def _commit_paths(output: bytes) -> list[tuple[str, set[str]]]:
-    """(commit hash, paths) per commit of `git log --format=%x01%H
-    --no-renames --name-status -z` output, in log order.
-
-    Each commit is a \\x01-marked hash field, then one status field and one
-    path per entry; a status field may start with the newline that ends
-    the header. Fields are read by position, so a path is never taken for
-    a marker.
-    """
-    fields = os.fsdecode(output).split("\0")
-    commits: list[tuple[str, set[str]]] = []
+    if fields.pop():
+        raise RepoError(f"git --name-status listing is cut short: {output[-80:]!r}")
+    commit = None
     i = 0
     while i < len(fields):
-        field = fields[i].lstrip("\n")
-        if field.startswith("\x01"):
-            commits.append((field[1:], set()))
-            i += 1
-        elif field:
-            commits[-1][1].add(fields[i + 1])
-            i += 2
-        else:
-            i += 1
-    return commits
+        status = fields[i].removeprefix("\n")
+        i += 1
+        if status.startswith("\x01"):
+            commit = status[1:]
+            continue
+        if not _STATUS.fullmatch(status):
+            raise RepoError(f"unexpected git --name-status status: {status!r}")
+        end = i + (2 if status[0] in "RC" else 1)
+        if end > len(fields):
+            raise RepoError(f"git --name-status listing is cut short after {status!r}")
+        yield commit, status, fields[i:end]
+        i = end
 
 
 def _failure(command: str, code: int, stderr: bytes) -> str:

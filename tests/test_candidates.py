@@ -145,6 +145,31 @@ class TestExtraction:
         best_texts = [extract_text(target, c.region.range) for c in candidates if not c.is_deleted]
         assert any(t.startswith("head 1\nhead 2") for t in best_texts)
 
+    def test_changed_first_and_last_lines_join_into_one_candidate(self, gateway):
+        # A top hunk and a bottom hunk around an unchanged middle line: each
+        # gives its refined half, and the two halves join.
+        source = lines_to_text(["ctx", "alpha = old_a", "middle", "omega = old_b", "ctx2"])
+        target = lines_to_text(["ctx", "alpha = new_a", "middle", "omega = new_b", "ctx2"])
+        candidates = run_extraction(gateway, source, target, make_range(2, 9, 4, 13))
+        assert [c.region.range for c in candidates] == [
+            make_range(2, 9, 3, 6),  # top
+            make_range(3, 1, 4, 13),  # bottom
+            make_range(2, 9, 4, 13),  # joined
+        ]
+        assert extract_text(target, candidates[2].region.range) == "new_a\nmiddle\nomega = new_b"
+
+    def test_top_candidate_stops_above_a_middle_hunk(self, gateway):
+        # The top candidate ends at the end of the last source line above
+        # the middle hunk; the flank candidate spans the whole region.
+        source = lines_to_text(["ctx", "alpha = old_a", "keep one", "x = 1", "keep two", "tail"])
+        target = lines_to_text(["ctx", "alpha = new_a", "keep one", "x = 2", "keep two", "tail"])
+        candidates = run_extraction(gateway, source, target, make_range(2, 9, 6, 2))
+        assert [c.region.range for c in candidates] == [
+            make_range(2, 9, 3, 8),
+            make_range(2, 9, 6, 2),
+        ]
+        assert extract_text(target, candidates[0].region.range) == "new_a\nkeep one"
+
     def test_dedup_keeps_first_origin(self):
         region = Region("c", "f", make_range(1, 1, 1, 3))
         cands = [

@@ -1,6 +1,8 @@
 """Command-line interface: flags, output schema, exit codes."""
 
 import json
+import re
+import shutil
 
 import pytest
 
@@ -8,6 +10,9 @@ from codemapper import cli, evaluation
 from codemapper.cli import main
 from codemapper.diffparse import MalformedDiff
 from codemapper.fixtures import build_corpus
+from codemapper.gitio import DiffToolFailure, RepoError
+from codemapper.pipeline import map_region
+from codemapper.regions import Region, make_range
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +184,18 @@ class TestCmdMap:
         assert "internal error: ValueError" in err
         assert "cannot resolve source region" not in err
 
+    def test_unexpected_exception_is_70(self, repo_builder, capsys, monkeypatch):
+        sha = repo_builder.commit({"f.py": BASE})
+
+        def fail(*args, **kwargs):
+            raise KeyError("selected")
+
+        monkeypatch.setattr(cli, "map_region", fail)
+        code, out, err = run_cli(capsys, *map_args(repo_builder.path, sha, sha))
+        assert code == 70
+        assert "codemapper: internal error: KeyError: 'selected'" in err
+        assert out == ""
+
     def test_json_output_is_deterministic(self, repo_builder, capsys):
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 3", "line three")})
@@ -202,6 +219,76 @@ class TestCmdMap:
         code, out, _ = run_cli(capsys, *map_args(repo_builder.path, sha, sha))
         assert code == 0
         assert out.startswith("target: f.py 3:1-3:6")
+
+    def test_text_format_for_a_deleted_file(self, repo_builder, capsys):
+        first = repo_builder.commit({"f.py": BASE, "keep.py": "x\n"})
+        second = repo_builder.commit({"f.py": None})
+        code, out, _ = run_cli(capsys, *map_args(repo_builder.path, first, second))
+        assert (code, out) == (0, "target: deleted (file_deleted)\n")
+
+    def test_text_format_lists_candidates_and_timing(self, repo_builder, capsys):
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 3", "line three")})
+        code, out, _ = run_cli(
+            capsys, *map_args(repo_builder.path, first, second, "--verbose", "--timing")
+        )
+        assert code == 0
+        target, candidate, timing = out.splitlines()
+        assert target == "target: f.py 3:1-3:10 (origin=diff, similarity=0.9242)"
+        assert candidate == "  candidate: f.py 3:1-3:10 origin=diff similarity=0.9242"
+        assert re.fullmatch(
+            r"timing: candidates \d+\.\d ms, selection \d+\.\d ms, total \d+\.\d ms", timing
+        )
+
+    def test_text_format_lists_a_deleted_candidate(self, repo_builder, capsys):
+        first = repo_builder.commit({"f.py": BASE})
+        second = repo_builder.commit({"f.py": BASE.replace("line 3\n", "")})
+        code, out, _ = run_cli(capsys, *map_args(repo_builder.path, first, second, "--verbose"))
+        assert code == 0
+        assert out == "target: deleted\n  candidate: deleted origin=diff similarity=1.0000\n"
+
+
+GIT = shutil.which("git")
+
+
+def _on(option: str, action: str) -> str:
+    """A wrapper body that runs `action` for a git command given `option`."""
+    return f'case " $* " in *" {option} "*) {action};; esac'
+
+
+class TestMisbehavingGit:
+    """A git whose output or exit code is not what was asked for gives an
+    error, under `git_bin` and under CODEMAPPER_GIT, never an answer."""
+
+    @pytest.mark.parametrize(
+        "body, renamed, error, code",
+        [
+            (_on("--no-index", "exit 0"), False, DiffToolFailure, 3),
+            (_on("--no-index", "echo 'warning: something'; exit 1"), False, MalformedDiff, 70),
+            (_on("--name-status", f'"{GIT}" "$@" | head -c -3; exit 0'), True, RepoError, 3),
+            (_on("--name-status", f'"{GIT}" "$@" | tr DR QQ; exit 0'), True, RepoError, 3),
+            (_on("--name-status", f'"{GIT}" "$@" | tr "\\000" "\\n"; exit 0'), True, RepoError, 3),
+        ],
+        ids=["diff_exits_0", "hunkless_word_diff", "listing_cut_short", "unknown_status",
+             "listing_without_nul"],
+    )
+    def test_error_not_answer(
+        self, repo_builder, git_wrapper, capsys, monkeypatch, body, renamed, error, code
+    ):
+        first = repo_builder.commit({"f.py": BASE})
+        edited = BASE.replace("line 3", "line three")
+        files = {"f.py": None, "g.py": edited} if renamed else {"f.py": edited}
+        second = repo_builder.commit(files)
+        args = map_args(repo_builder.path, first, second)
+        assert run_cli(capsys, *args)[0] == 0  # the real git gives an answer
+        wrapper = git_wrapper(body)
+        with pytest.raises(error):
+            map_region(
+                repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second,
+                git_bin=wrapper,
+            )
+        monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+        assert run_cli(capsys, *args)[:2] == (code, "")
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +330,45 @@ class TestCmdEval:
         code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
         assert code == 64
         assert flag in err
+        assert out == ""
+
+    def test_context_sweep_text(self, corpus, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--dataset", str(corpus / "dataset.jsonl"), "--context-sweep", "0,5"
+        )
+        assert code == 0
+        tail = "exact=12 (100.0%) overlap=12 (100.0%) char_dist=- recall=1.000"
+        assert [line.split()[0] for line in out.splitlines()] == ["full", "context=0", "context=5"]
+        assert all(f"records=12  {tail}" in line for line in out.splitlines())
+
+    def test_context_sweep_json(self, corpus, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--dataset", str(corpus / "dataset.jsonl"),
+            "--context-sweep", "0,5", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        sweep = payload["context_sweep"]
+        assert list(payload) == ["dataset", "report", "context_sweep"]
+        assert list(sweep) == ["0", "5"]
+        for size, report in sweep.items():
+            assert report["config"]["context_lines"] == int(size)
+            assert report["aggregates"]["exact_count"] == 12
+        # The default context is 15, so no sweep entry repeats the report.
+        assert payload["report"]["config"]["context_lines"] == 15
+
+    def test_unexpected_exception_is_70(self, tmp_path, capsys, monkeypatch):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+
+        def fail(*args, **kwargs):
+            raise KeyError("records")
+
+        monkeypatch.setattr(cli, "evaluate", fail)
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset))
+        assert code == 70
+        assert "codemapper: internal error: KeyError: 'records'" in err
         assert out == ""
 
     def test_parse_error_is_65_with_line_number(self, tmp_path, capsys):

@@ -51,6 +51,10 @@ class TestParseLineDiff:
     def test_empty_report(self):
         assert parse_word_diff("") == []
 
+    def test_a_report_without_a_hunk_is_malformed(self):
+        with pytest.raises(MalformedDiff, match="no hunk"):
+            parse_word_diff("warning: something\n")
+
     def test_replaced_line(self, gateway):
         source = "".join(f"l{i}\n" for i in range(1, 10))
         target = source.replace("l7", "L7")

@@ -267,6 +267,10 @@ def test_evaluate_records_repo_errors_without_dying(tmp_path):
     assert report.aggregates.scored == 0
     assert report.results[0].error is not None
     assert report.results[0].outcome is None
+    (record,) = report.to_json()["records"]
+    assert record["error"].startswith("RepoError: cannot run git: ")
+    assert record["predicted"] is None
+    assert "outcome" not in record
 
 
 def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 from codemapper.fixtures import build_corpus
+from codemapper.pipeline import map_region
 from conftest import RepoBuilder
 
 
@@ -35,6 +36,17 @@ def test_build_ignores_the_callers_global_git_config(tmp_path, monkeypatch, buil
         cwd=repo, capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert author == "Fixture Builder <fixtures@example.com>"
+
+
+def test_corpus_and_mappings_run_codemapper_git(tmp_path, monkeypatch, git_wrapper):
+    log = tmp_path / "git.log"
+    monkeypatch.setenv("CODEMAPPER_GIT", git_wrapper(f'echo "$1" >> "{log}"'))
+    record = build_corpus(tmp_path / "corpus")[0].record
+    built = set(log.read_text(encoding="utf-8").split())
+    assert built == {"init", "config", "add", "commit", "rev-parse"}
+    log.unlink()
+    map_region(tmp_path / "corpus" / record.repo, record.source, record.target_commit)
+    assert sorted(log.read_text(encoding="utf-8").split()) == ["cat-file"] + ["diff"] * 4
 
 
 def test_two_builds_write_identical_files(tmp_path, monkeypatch):

@@ -337,16 +337,20 @@ class _OneWalk:
         def git(*args):
             return subprocess.run(["git", *args], cwd=gateway.repo, capture_output=True).stdout
 
+        def renames(listing):
+            entries = gitio._name_status(listing)
+            return [tuple(paths) for _, status, paths in entries if status[0] == "R"]
+
         base = git("merge-base", src, tgt).decode().strip()
         walk = ["log", "--format=", "--name-status", "-z", "--diff-filter=R", "-M"]
         self.forward = base == src
         self.pairs = []
         if base == src:
-            self.pairs = gitio._renames(git(*walk, "--reverse", f"{src}..{tgt}"))
+            self.pairs = renames(git(*walk, "--reverse", f"{src}..{tgt}"))
         elif base == tgt:
-            self.pairs = gitio._renames(git(*walk, f"{tgt}..{src}"))
+            self.pairs = renames(git(*walk, f"{tgt}..{src}"))
         endpoints = git("diff", "--no-ext-diff", "--name-status", "-z", "--find-renames", src, tgt)
-        self.endpoint = dict(gitio._renames(endpoints))
+        self.endpoint = dict(renames(endpoints))
         self.gateway, self.tgt = gateway, tgt
 
     def chained(self, path):
@@ -365,6 +369,27 @@ class _OneWalk:
                 if obj.type == "blob":
                     return name, obj
         return None, MISSING
+
+
+class TestNameStatusListing:
+    def test_entries_carry_their_commit(self):
+        listing = b"R100\0a.py\0b.py\0\x01c1\0\x01c2\0\nD\0a b\0A\0\x01x\0"
+        assert list(gitio._name_status(listing)) == [
+            (None, "R100", ["a.py", "b.py"]),
+            ("c2", "D", ["a b"]),
+            ("c2", "A", ["\x01x"]),  # a path, read by position, is never a header
+        ]
+        assert list(gitio._name_status(b"")) == []
+
+    @pytest.mark.parametrize(
+        "listing",
+        [b"R100\0a.py\0", b"M\0a.p", b"\x01c1\0\nD", b"Q\0a.py\0", b"R100 a.py b.py\n", b"\0"],
+        ids=["rename_cut_short", "path_cut_short", "header_cut_short", "unknown_status",
+             "no_nul", "empty_status"],
+    )
+    def test_a_listing_git_does_not_print_raises(self, listing):
+        with pytest.raises(RepoError):
+            list(gitio._name_status(listing))
 
 
 class TestRenameTracking:
@@ -442,7 +467,7 @@ class TestDiffReports:
         assert len(reports) > 1
         assert len(set(reports)) == len(reports)
 
-    def test_dedup_never_exceeds_eight(self, repo_builder):
+    def test_dedup_never_exceeds_the_algorithm_count(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
         reports = gateway.diff_texts(BASE, BASE.replace("line 2", "other"))
         assert len(reports) <= len(ALL_CONFIGS)
