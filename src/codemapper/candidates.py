@@ -267,48 +267,33 @@ def _map_endpoint(alignment: WordAlignment, source_text, target_text, offset, at
     return r_lo + _start_in_replacement(deleted, i - run[0], replacement)
 
 
-def _target_position(alignment, source_text, target_text, position, coarse_range, at_end):
-    """Where the endpoint at source (line, col) `position` went, if the
-    alignment places it inside the coarse range."""
-    line, col = position
-    offset = line_start(source_text, line) + col - 1
-    found = _map_endpoint(alignment, source_text, target_text, offset, at_end)
-    if found is None or found >= len(target_text):
-        return None
-    found = position_of_offset(target_text, found)
-    return found if coarse_range.start <= found <= coarse_range.end else None
-
-
-def refine_start(
+def refine_endpoints(
     source_range: CharacterRange,
     alignment: WordAlignment,
     coarse_range: CharacterRange,
     source_text: str,
     target_text: str,
+    ends=("start", "end"),
 ) -> CharacterRange:
-    """Move the candidate start to where the region's first character went.
+    """Move the named endpoints of `coarse_range`, in order, to where the
+    region's first ("start") and last ("end") characters went.
 
-    Returns the coarse range unchanged when the alignment does not place the
-    start inside it (refinement skipped).
+    An endpoint stays where it is when the alignment does not place it
+    inside the range as refined so far, so an end is checked against the
+    refined start.
     """
-    found = _target_position(
-        alignment, source_text, target_text, source_range.start, coarse_range, False
-    )
-    return coarse_range if found is None else CharacterRange(*found, *coarse_range.end)
-
-
-def refine_end(
-    source_range: CharacterRange,
-    alignment: WordAlignment,
-    coarse_range: CharacterRange,
-    source_text: str,
-    target_text: str,
-) -> CharacterRange:
-    """Mirror of refine_start for the region's last character."""
-    found = _target_position(
-        alignment, source_text, target_text, source_range.end, coarse_range, True
-    )
-    return coarse_range if found is None else CharacterRange(*coarse_range.start, *found)
+    rng = coarse_range
+    for end in ends:
+        line, col = getattr(source_range, end)
+        offset = line_start(source_text, line) + col - 1
+        found = _map_endpoint(alignment, source_text, target_text, offset, end == "end")
+        if found is None or found >= len(target_text):
+            continue
+        found = position_of_offset(target_text, found)
+        if rng.start <= found <= rng.end:
+            first, last = (found, rng.end) if end == "start" else (rng.start, found)
+            rng = CharacterRange(*first, *last)
+    return rng
 
 
 # -- extraction ---------------------------------------------------------------
@@ -323,7 +308,9 @@ def extract_diff_candidates(
     target_commit: str,
     refine: bool = True,
 ) -> list[Candidate]:
-    """Phase-1 diff candidates from all deduplicated reports.
+    """Phase-1 diff candidates from all deduplicated reports, report by
+    report; reports that agree give the same candidate more than once, and
+    map_region's one dedup keeps the first.
 
     Each report's candidates are refined with the word alignment of its own
     hunks. No reports at all means the contents are identical, so the region
@@ -357,7 +344,7 @@ def extract_diff_candidates(
                 aligned if refine else None,
             )
         )
-    return dedup_candidates(out)
+    return out
 
 
 def _extract_from_report(
@@ -398,13 +385,11 @@ def _extract_from_report(
     def source_line_len(line: int) -> int:
         return len(line_text(source_text, line)) if line <= line_count(source_text) else 0
 
-    def refined(coarse: CharacterRange | None, hunk: Hunk, *refiners) -> CharacterRange | None:
+    def refined(coarse: CharacterRange | None, hunk: Hunk, *ends) -> CharacterRange | None:
         # An empty target block places no endpoint; refinement is a no-op there.
         if coarse is None or not aligned or hunk.target_is_empty:
             return coarse
-        rng, alignment = coarse, aligned(hunk)
-        for refine in refiners:
-            rng = refine(source_range, alignment, rng, source_text, target_text)
+        rng = refine_endpoints(source_range, aligned(hunk), coarse, source_text, target_text, ends)
         return _clamped(target_text, *rng.as_tuple()) or coarse
 
     candidates: list[Candidate] = []
@@ -426,7 +411,7 @@ def _extract_from_report(
             candidates.append(Candidate(DELETED, Origin.DIFF, source_hunk=full))
         else:
             coarse = _clamped(target_text, full.target_start, 1, full.target_end, 10**9)
-            add(refined(coarse, full, refine_start, refine_end))
+            add(refined(coarse, full, "start", "end"))
 
     top_refined = bottom_refined = None
 
@@ -438,7 +423,7 @@ def _extract_from_report(
         end_src = r2 if barrier is None else min(r2, barrier - 1)
         end_col = source_range.c2 if end_src == r2 else source_line_len(end_src)
         coarse = _clamped(target_text, top.target_start, 1, map_line(end_src), end_col)
-        top_refined = refined(coarse, top, refine_start)
+        top_refined = refined(coarse, top, "start")
         add(top_refined)
 
     if bottom is not None:
@@ -451,7 +436,7 @@ def _extract_from_report(
         # For an empty target block, target_end is the last line before the
         # deletion point, i.e. the mapped position of the surviving head.
         coarse = _clamped(target_text, map_line(start_src), start_col, bottom.target_end, 10**9)
-        bottom_refined = refined(coarse, bottom, refine_end)
+        bottom_refined = refined(coarse, bottom, "end")
         add(bottom_refined)
 
     if top_refined is not None and bottom_refined is not None:

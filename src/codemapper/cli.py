@@ -3,7 +3,8 @@
 Coordinates are 1-based with an inclusive end column, matching the library's
 range convention. Exit codes: 0 success, 2 region-resolution failure,
 3 repository errors, 64 usage errors, 65 dataset parse errors, 70 internal
-errors (git output codemapper cannot read, or any other bug).
+errors (git output codemapper cannot read, or any other bug), 73 an eval
+report that cannot be written. `eval` exits 1 when any record has an error.
 """
 
 import argparse
@@ -36,6 +37,7 @@ from codemapper.selector import SelectionConfig
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,6 +208,15 @@ def cmd_eval(args) -> int:
         print(f"codemapper: cannot read dataset: {exc}", file=sys.stderr)
         return EX_DATAERR
 
+    if args.out:
+        # Open the report file for writing before any record is evaluated,
+        # so an unwritable path costs no evaluation; appending keeps what
+        # it holds until the report replaces it.
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(exc)
+
     base_dir = Path(args.dataset).resolve().parent
     config = SelectionConfig(context_lines=args.context)
     if args.ablation:
@@ -232,10 +243,18 @@ def cmd_eval(args) -> int:
         json.dumps(output, indent=2) if args.format == "json" else "\n".join(lines)
     )
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(exc)
     else:
         print(rendered)
     return 1 if report.aggregates.errors else 0
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"codemapper: cannot write report: {exc}", file=sys.stderr)
+    return EX_CANTCREAT
 
 
 def main(argv=None) -> int:

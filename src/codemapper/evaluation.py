@@ -21,6 +21,8 @@ from codemapper.regions import (
     DELETED,
     CharacterRange,
     DeletedRegion,
+    InvalidRange,
+    OutOfBounds,
     Region,
     Target,
     to_abs_interval,
@@ -339,7 +341,7 @@ def _result_to_json(result: RecordResult) -> dict:
     return out
 
 
-def _resolve_repo(repo: str, base_dir, cache_dir, git_bin) -> str:
+def _resolve_repo(repo: str, base_dir, cache_dir) -> str:
     if "://" in repo or repo.endswith(".git"):
         cache_root = Path(cache_dir) if cache_dir else Path.home() / ".cache" / "codemapper"
         cache_root.mkdir(parents=True, exist_ok=True)
@@ -349,7 +351,7 @@ def _resolve_repo(repo: str, base_dir, cache_dir, git_bin) -> str:
             # of one repository never share a half-made clone.
             fresh = Path(tempfile.mkdtemp(prefix=f".{clone.name}-", dir=cache_root))
             try:
-                run_git(["clone", "--quiet", repo, str(fresh)], git_bin=git_bin)
+                run_git(["clone", "--quiet", repo, str(fresh)])
             except RepoError:
                 shutil.rmtree(fresh, ignore_errors=True)
                 raise
@@ -371,24 +373,26 @@ def evaluate_record(
     config: SelectionConfig,
     base_dir=None,
     cache_dir=None,
-    git_bin=None,
 ) -> RecordResult:
+    """Map and score one record. What the record itself can get wrong (its
+    repository, commits, files or ranges) is the result's error; any other
+    exception is a bug and propagates."""
     try:
-        repo = _resolve_repo(record.repo, base_dir, cache_dir, git_bin)
-        result = map_region(repo, record.source, record.target_commit, config, git_bin)
+        repo = _resolve_repo(record.repo, base_dir, cache_dir)
+        result = map_region(repo, record.source, record.target_commit, config)
         predicted = result.target
         if isinstance(record.expected, Region):
             if record.expected.file == result.target_file:
                 target_text = result.target_text
             else:
-                target_text = GitGateway(repo, git_bin).file_content(
+                target_text = GitGateway(repo).file_content(
                     result.target_commit, record.expected.file
                 )
         else:
             target_text = ""
         outcome = classify_outcome(predicted, record.expected, target_text)
         return RecordResult(record, predicted, outcome)
-    except (RepoError, OSError, ValueError) as exc:
+    except (RepoError, OSError, InvalidRange, OutOfBounds) as exc:
         return RecordResult(record, None, None, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -399,13 +403,12 @@ def evaluate(
     jobs: int = 1,
     base_dir=None,
     cache_dir=None,
-    git_bin=None,
 ) -> EvalReport:
     """Evaluate every record; per-record errors are recorded, not fatal."""
     config = config or SelectionConfig()
 
     def run(record):
-        return evaluate_record(record, config, base_dir, cache_dir, git_bin)
+        return evaluate_record(record, config, base_dir, cache_dir)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -14,8 +14,8 @@ config change made mid-process (diff.renameLimit, say) is not seen, as
 with the reader. The four diffs, one per algorithm, run at most one per
 usable CPU at a time. A word report's @@ headers are those of the plain
 line diff, so one diff per algorithm gives both the line hunks and their
-intra-line fragments. Requires a `git` executable on PATH (override with
-the CODEMAPPER_GIT environment variable or the `git_bin` argument).
+intra-line fragments. The CODEMAPPER_GIT environment variable chooses the
+git executable; without it, `git` on PATH runs.
 """
 
 import atexit
@@ -105,9 +105,9 @@ class GitObject:
 MISSING = GitObject(None, "missing")
 
 
-def git_executable(git_bin: str | None) -> str:
-    """The git to run: `git_bin`, else $CODEMAPPER_GIT, else `git` on PATH."""
-    return git_bin or os.environ.get(GIT_ENV_VAR) or "git"
+def git_executable() -> str:
+    """The git to run: $CODEMAPPER_GIT, else `git` on PATH."""
+    return os.environ.get(GIT_ENV_VAR) or "git"
 
 
 def _start(git: str, args, cwd, *, env=None, stdin=None, stderr=subprocess.PIPE):
@@ -130,10 +130,10 @@ def _finish(proc, what: str, ok=(0,), error=RepoError) -> bytes:
     return stdout
 
 
-def run_git(args, cwd=None, *, git_bin=None, env=None, ok=(0,)) -> bytes:
+def run_git(args, cwd=None, *, env=None, ok=(0,)) -> bytes:
     """Run `git args` in `cwd` to the end; its stdout. RepoError if git
     cannot be started or exits with a code not in `ok`."""
-    with _start(git_executable(git_bin), args, cwd, env=env) as proc:
+    with _start(git_executable(), args, cwd, env=env) as proc:
         return _finish(proc, args[0], ok)
 
 
@@ -287,9 +287,9 @@ if hasattr(os, "register_at_fork"):
 class GitGateway:
     """Read-only access to one repository via the git executable."""
 
-    def __init__(self, repo, git_bin: str | None = None):
+    def __init__(self, repo):
         self.repo = Path(repo)
-        self.git = git_executable(git_bin)
+        self.git = git_executable()
 
     def read_objects(self, names) -> list[GitObject]:
         """Look up every object name with the repository's `git cat-file
@@ -374,7 +374,7 @@ class GitGateway:
         pairs = cache.get(commit)
         if pairs is None:
             args = ["log", "--no-walk", "-M", "--diff-filter=R", "--name-status", "-z", "--format=", commit]
-            listing = _name_status(run_git(args, self.repo, git_bin=self.git))
+            listing = _name_status(run_git(args, self.repo))
             pairs = [tuple(paths) for _, status, paths in listing if status[0] == "R"]
             cache[commit] = pairs
         return pairs
@@ -391,9 +391,7 @@ class GitGateway:
         """
         # One merge base answers both directions: an ancestor is its own
         # merge base with a descendant. Exit 1 with no output: unrelated.
-        base = run_git(
-            ["merge-base", src, tgt], self.repo, git_bin=self.git, ok=(0, 1)
-        ).decode().strip()
+        base = run_git(["merge-base", src, tgt], self.repo, ok=(0, 1)).decode().strip()
         if base not in (src, tgt):
             return None
         forward = base == src
@@ -405,7 +403,7 @@ class GitGateway:
         current = path
         # One path per entry, deleted (or added) by its commit, so no later
         # entry of that commit names the path a rename just led to.
-        for commit, _, paths in _name_status(run_git(args, self.repo, git_bin=self.git)):
+        for commit, _, paths in _name_status(run_git(args, self.repo)):
             if paths == [current]:
                 for pair in self._commit_renames(commit):
                     before, after = pair if forward else pair[::-1]
@@ -415,7 +413,7 @@ class GitGateway:
 
     def _endpoint_rename(self, src: str, path: str, tgt: str) -> str | None:
         args = ["diff", *DIFF_ISOLATION, "--name-status", "-z", "--find-renames", src, tgt]
-        listing = _name_status(run_git(args, self.repo, git_bin=self.git))
+        listing = _name_status(run_git(args, self.repo))
         news = [paths[1] for _, status, paths in listing if status[0] == "R" and paths[0] == path]
         return news[0] if news else None
 

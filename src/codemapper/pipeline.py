@@ -7,7 +7,7 @@ from codemapper.candidates import Candidate, dedup_candidates, extract_diff_cand
 from codemapper.diffparse import parse_word_diff
 from codemapper.gitio import GitGateway, blob_text
 from codemapper.movement import detect_movements
-from codemapper.regions import DELETED, Region, Target, extract_text, to_abs_interval
+from codemapper.regions import DELETED, Region, Target, extract_text
 from codemapper.search import search_text
 from codemapper.selector import SelectionConfig, select_target
 
@@ -33,10 +33,6 @@ class MappingResult:
     target_text: str | None = field(repr=False)
 
     @property
-    def is_deleted(self) -> bool:
-        return self.target_file is None or not isinstance(self.target, Region)
-
-    @property
     def selected(self) -> Candidate | None:
         """Ranked head, i.e. the candidate that became the target."""
         return self.candidates[0] if self.candidates else None
@@ -47,7 +43,6 @@ def map_region(
     source: Region,
     target_commit: str,
     config: SelectionConfig | None = None,
-    git_bin: str | None = None,
 ) -> MappingResult:
     """Map `source` to its corresponding region at `target_commit`.
 
@@ -57,11 +52,11 @@ def map_region(
     """
     started = time.perf_counter()
     config = config or SelectionConfig()
-    gateway = GitGateway(repo, git_bin)
+    gateway = GitGateway(repo)
     source_sha, target_sha, source_text, target = gateway.read_endpoints(
         source.commit, source.file, target_commit
     )
-    to_abs_interval(source_text, source.range)  # fail fast on a bad region
+    region_text = extract_text(source_text, source.range)  # fails fast on a bad region
 
     resolved = source.file
     if target.type != "blob":
@@ -111,12 +106,7 @@ def map_region(
             )
     if config.use_search:
         candidates.extend(
-            search_text(
-                extract_text(source_text, source.range),
-                resolved,
-                target_sha,
-                target_text,
-            )
+            search_text(region_text, resolved, target_sha, target_text)
         )
     candidates = dedup_candidates(candidates)
     phase1_done = time.perf_counter()

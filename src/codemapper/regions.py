@@ -186,20 +186,7 @@ class _LineIndex:
 
     def bounds(self, k: int) -> tuple[int, int]:
         """[start, end) offsets of line k >= 1, its newline excluded."""
-        before = self.before
-        j = k - 1  # the newline that ends line k
-        if not 0 <= j < before[-1]:
-            if j == before[-1]:
-                return self.start(k), len(self.text)
-            raise IndexError(f"line {k} out of range")
-        b = bisect_right(before, j) - 1
-        block = self.blocks[b]
-        if block is None:
-            block = self._fill(b)
-        i = j - before[b]
-        if i:
-            return block[i - 1] + 1, block[i]
-        return self.start(k), block[i]
+        return self.start(k), self.start(k + 1) - 1
 
     def position(self, offset: int) -> tuple[int, int]:
         """(line, col) of an offset inside the text."""

@@ -57,8 +57,9 @@ def repo_builder(tmp_path):
 
 @pytest.fixture
 def git_wrapper(tmp_path):
-    """Factory for a `git_bin`: a shell script that runs `body`, then execs
-    the real git with the same arguments."""
+    """Factory for a git to set as CODEMAPPER_GIT, the one way to choose
+    codemapper's git: a shell script that runs `body`, then execs the real
+    git with the same arguments."""
 
     def make(body: str, name: str = "git-wrapper") -> str:
         script = tmp_path / name

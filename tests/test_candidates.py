@@ -11,8 +11,7 @@ from codemapper.candidates import (
     classify_overlap,
     dedup_candidates,
     extract_diff_candidates,
-    refine_end,
-    refine_start,
+    refine_endpoints,
 )
 from codemapper.diffparse import Hunk, align, parse_word_diff
 from codemapper.gitio import Algorithm, GitGateway
@@ -196,12 +195,14 @@ class TestRefineDirect:
 
     def test_refine_start_excludes_shared_prefix(self):
         alignment, coarse = self.fig4_parts()
-        refined = refine_start(make_range(2, 12, 2, 14), alignment, coarse, self.SOURCE, self.TARGET)
+        rng = make_range(2, 12, 2, 14)
+        refined = refine_endpoints(rng, alignment, coarse, self.SOURCE, self.TARGET, ("start",))
         assert (refined.l1, refined.c1) == (2, 12)
 
     def test_refine_end_keeps_whole_replacement(self):
         alignment, coarse = self.fig4_parts()
-        refined = refine_end(make_range(2, 12, 2, 14), alignment, coarse, self.SOURCE, self.TARGET)
+        rng = make_range(2, 12, 2, 14)
+        refined = refine_endpoints(rng, alignment, coarse, self.SOURCE, self.TARGET, ("end",))
         assert (refined.l2, refined.c2) == (2, 18)
 
     def test_start_at_column_one_of_rewritten_line(self):
@@ -209,7 +210,7 @@ class TestRefineDirect:
         ref = Hunk(1, 1, 1, 1, body="-entire old line\n+brand new text\n~")
         coarse = make_range(1, 1, 1, 14)
         alignment = align(ref, source, target)
-        refined = refine_start(make_range(1, 1, 1, 15), alignment, coarse, source, target)
+        refined = refine_endpoints(make_range(1, 1, 1, 15), alignment, coarse, source, target, ("start",))
         assert (refined.l1, refined.c1) == (1, 1)
 
     def test_no_delete_returns_coarse(self):
@@ -217,8 +218,8 @@ class TestRefineDirect:
         alignment = align(Hunk(1, 0, 1, 1, body="+added only\n~"), source, target)  # pure insertion
         coarse = make_range(1, 1, 1, 10)
         region = make_range(1, 1, 1, 5)
-        assert refine_start(region, alignment, coarse, source, target) == coarse
-        assert refine_end(region, alignment, coarse, source, target) == coarse
+        for ends in [("start",), ("end",), ("start", "end")]:
+            assert refine_endpoints(region, alignment, coarse, source, target, ends) == coarse
 
     def test_mid_line_substitution(self, gateway):
         # "aa bb cc" -> "aa XX cc" with the region covering "bb cc"
@@ -227,10 +228,11 @@ class TestRefineDirect:
         report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(1, 1, 1, 8)
-        refined = refine_start(make_range(1, 4, 1, 8), alignment, coarse, source, target)
+        rng = make_range(1, 4, 1, 8)
+        refined = refine_endpoints(rng, alignment, coarse, source, target, ("start",))
         assert (refined.l1, refined.c1) == (1, 4)
-        refined = refine_end(make_range(1, 4, 1, 8), alignment, refined, source, target)
-        assert refined == make_range(1, 4, 1, 8)
+        assert refine_endpoints(rng, alignment, refined, source, target, ("end",)) == rng
+        assert refine_endpoints(rng, alignment, coarse, source, target) == rng
 
     def test_mirrored_suffix_case(self, gateway):
         # "old.values" -> "updated.values", region "old": the end refinement
@@ -241,8 +243,7 @@ class TestRefineDirect:
         alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(1, 1, 1, 14)
         rng = make_range(1, 1, 1, 3)
-        refined = refine_start(rng, alignment, coarse, source, target)
-        refined = refine_end(rng, alignment, refined, source, target)
+        refined = refine_endpoints(rng, alignment, coarse, source, target)
         assert extract_text(target, refined) == "updated"
 
     def test_whitespace_start_counts_from_its_kept_neighbour(self, gateway):
@@ -251,9 +252,9 @@ class TestRefineDirect:
         report = gateway.diff_texts(source, target, algorithms=MYERS)[0]
         alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(2, 1, 2, 11)
-        refined = refine_start(make_range(2, 1, 2, 11), alignment, coarse, source, target)
+        refined = refine_endpoints(make_range(2, 1, 2, 11), alignment, coarse, source, target, ("start",))
         assert refined == coarse
-        refined = refine_start(make_range(2, 8, 2, 11), alignment, coarse, source, target)
+        refined = refine_endpoints(make_range(2, 8, 2, 11), alignment, coarse, source, target, ("start",))
         assert (refined.l1, refined.c1) == (2, 8)
 
     @pytest.mark.parametrize(
@@ -276,8 +277,7 @@ class TestRefineDirect:
         alignment = align(parse_word_diff(report)[0], source, target)
         coarse = make_range(1, 1, 1, len(target) - 1)
         rng = make_range(*rng)
-        refined = refine_start(rng, alignment, coarse, source, target)
-        assert refine_end(rng, alignment, refined, source, target) == make_range(*expected)
+        assert refine_endpoints(rng, alignment, coarse, source, target) == make_range(*expected)
 
 
 class TestRenameBelowInsertedLine:

@@ -1,18 +1,23 @@
 """Command-line interface: flags, output schema, exit codes."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codemapper
 from codemapper import cli, evaluation
 from codemapper.cli import main
 from codemapper.diffparse import MalformedDiff
 from codemapper.fixtures import build_corpus
 from codemapper.gitio import DiffToolFailure, RepoError
 from codemapper.pipeline import map_region
-from codemapper.regions import Region, make_range
+from codemapper.regions import DELETED, Region, make_range
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +253,19 @@ class TestCmdMap:
         assert out == "target: deleted\n  candidate: deleted origin=diff similarity=1.0000\n"
 
 
+def test_python_m_codemapper_runs_the_cli(repo_builder, capsys):
+    first = repo_builder.commit({"f.py": BASE})
+    second = repo_builder.commit({"f.py": "head\n" + BASE})
+    args = map_args(repo_builder.path, first, second, "--verbose")
+    env = {**os.environ, "PYTHONPATH": str(Path(codemapper.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "codemapper", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, *args)[1]
+
+
 GIT = shutil.which("git")
 
 
@@ -258,22 +276,25 @@ def _on(option: str, action: str) -> str:
 
 class TestMisbehavingGit:
     """A git whose output or exit code is not what was asked for gives an
-    error, under `git_bin` and under CODEMAPPER_GIT, never an answer."""
+    error, never an answer: a repository error (`map` exits 3, `eval` records
+    it and exits 1), or an internal error (70) for git output codemapper
+    cannot read."""
 
     @pytest.mark.parametrize(
-        "body, renamed, error, code",
+        "body, renamed, error, code, eval_code",
         [
-            (_on("--no-index", "exit 0"), False, DiffToolFailure, 3),
-            (_on("--no-index", "echo 'warning: something'; exit 1"), False, MalformedDiff, 70),
-            (_on("--name-status", f'"{GIT}" "$@" | head -c -3; exit 0'), True, RepoError, 3),
-            (_on("--name-status", f'"{GIT}" "$@" | tr DR QQ; exit 0'), True, RepoError, 3),
-            (_on("--name-status", f'"{GIT}" "$@" | tr "\\000" "\\n"; exit 0'), True, RepoError, 3),
+            (_on("--no-index", "exit 0"), False, DiffToolFailure, 3, 1),
+            (_on("--no-index", "echo 'warning: something'; exit 1"), False, MalformedDiff, 70, 70),
+            (_on("--name-status", f'"{GIT}" "$@" | head -c -3; exit 0'), True, RepoError, 3, 1),
+            (_on("--name-status", f'"{GIT}" "$@" | tr DR QQ; exit 0'), True, RepoError, 3, 1),
+            (_on("--name-status", f'"{GIT}" "$@" | tr "\\000" "\\n"; exit 0'), True, RepoError, 3, 1),
         ],
         ids=["diff_exits_0", "hunkless_word_diff", "listing_cut_short", "unknown_status",
              "listing_without_nul"],
     )
     def test_error_not_answer(
-        self, repo_builder, git_wrapper, capsys, monkeypatch, body, renamed, error, code
+        self, repo_builder, git_wrapper, capsys, monkeypatch, tmp_path,
+        body, renamed, error, code, eval_code,
     ):
         first = repo_builder.commit({"f.py": BASE})
         edited = BASE.replace("line 3", "line three")
@@ -281,14 +302,21 @@ class TestMisbehavingGit:
         second = repo_builder.commit(files)
         args = map_args(repo_builder.path, first, second)
         assert run_cli(capsys, *args)[0] == 0  # the real git gives an answer
-        wrapper = git_wrapper(body)
+        source = Region(first, "f.py", make_range(3, 1, 3, 6))
+        dataset = tmp_path / "one.jsonl"
+        record = evaluation.EvalRecord(str(repo_builder.path), source, second, DELETED)
+        evaluation.dump_dataset([record], dataset)
+        monkeypatch.setenv("CODEMAPPER_GIT", git_wrapper(body))
         with pytest.raises(error):
-            map_region(
-                repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second,
-                git_bin=wrapper,
-            )
-        monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+            map_region(repo_builder.path, source, second)
         assert run_cli(capsys, *args)[:2] == (code, "")
+        got, out, _ = run_cli(capsys, "eval", "--dataset", str(dataset), "--format", "json")
+        assert got == eval_code
+        if eval_code == 1:
+            (record,) = json.loads(out)["report"]["records"]
+            assert record["error"].startswith(f"{error.__name__}: ")
+        else:
+            assert out == ""
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +398,26 @@ class TestCmdEval:
         assert code == 70
         assert "codemapper: internal error: KeyError: 'records'" in err
         assert out == ""
+
+    def test_unwritable_out_is_73_before_any_record(self, corpus, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a record was evaluated")
+
+        monkeypatch.setattr(evaluation, "evaluate_record", fail)
+        out_file = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_cli(
+            capsys, "eval", "--dataset", str(corpus / "dataset.jsonl"), "--out", str(out_file)
+        )
+        assert (code, out) == (73, "")
+        assert err.startswith("codemapper: cannot write report: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_failed_report_write_is_73(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), "--out", "/dev/full")
+        assert (code, out) == (73, "")
+        assert err.startswith("codemapper: cannot write report: ")
 
     def test_parse_error_is_65_with_line_number(self, tmp_path, capsys):
         dataset = tmp_path / "bad.jsonl"

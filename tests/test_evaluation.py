@@ -273,7 +273,7 @@ def test_evaluate_records_repo_errors_without_dying(tmp_path):
     assert "outcome" not in record
 
 
-def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):
+def test_clone_of_bare_repo_runs_codemapper_git(repo_builder, tmp_path, monkeypatch):
     sha = repo_builder.commit({"f.py": "alpha\nbeta\n"})
     bare = tmp_path / "origin.git"
     subprocess.run(
@@ -291,9 +291,8 @@ def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):
     region = Region(sha, "f.py", make_range(2, 1, 2, 4))
     record = EvalRecord(repo=str(bare), source=region, target_commit=sha, expected=region)
 
-    result = evaluate_record(
-        record, SelectionConfig(), cache_dir=tmp_path / "cache", git_bin=str(wrapper)
-    )
+    monkeypatch.setenv("CODEMAPPER_GIT", str(wrapper))
+    result = evaluate_record(record, SelectionConfig(), cache_dir=tmp_path / "cache")
 
     assert result.error is None
     assert result.outcome.kind is OutcomeKind.EXACT
@@ -302,7 +301,7 @@ def test_clone_of_bare_repo_runs_the_given_git_bin(repo_builder, tmp_path):
     assert "cat-file" in calls
 
 
-def test_parallel_records_share_one_clone(repo_builder, tmp_path, git_wrapper):
+def test_parallel_records_share_one_clone(repo_builder, tmp_path, git_wrapper, monkeypatch):
     sha = repo_builder.commit({"f.py": "alpha\nbeta\n"})
     bare = tmp_path / "origin.git"
     subprocess.run(
@@ -318,7 +317,8 @@ def test_parallel_records_share_one_clone(repo_builder, tmp_path, git_wrapper):
         for name in ("a", "b")
     ]
     cache = tmp_path / "cache"
-    report = evaluate(records, jobs=2, cache_dir=cache, git_bin=wrapper)
+    monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+    report = evaluate(records, jobs=2, cache_dir=cache)
     assert [result.error for result in report.results] == [None, None]
     assert report.aggregates.exact_count == 2
     assert len(list(cache.iterdir())) == 1  # the losing clone was removed

@@ -102,7 +102,7 @@ class TestBatchRead:
         "output", ["", "deadbeef blob 100\\ncut off", "deadbeef blob"], ids=["empty", "short", "header"]
     )
     def test_cut_off_answer_raises_with_exit_code_and_stderr(
-        self, repo_builder, git_wrapper, tmp_path, output
+        self, repo_builder, git_wrapper, tmp_path, monkeypatch, output
     ):
         sha = repo_builder.commit({"f.txt": BASE})
         # Only the first cat-file fails.
@@ -112,7 +112,8 @@ class TestBatchRead:
             f'  touch "{failed}"; printf "{output}"; echo "disk on fire" >&2; exit 3\n'
             "fi"
         )
-        gateway = GitGateway(repo_builder.path, git_bin=wrapper)
+        monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+        gateway = GitGateway(repo_builder.path)
         with pytest.raises(RepoError, match=r"git cat-file failed \(3\): disk on fire"):
             gateway.file_content(sha, "f.txt")
         assert _reader(repo_builder.path) is None  # reaped and dropped
@@ -256,11 +257,12 @@ class TestReaderLifecycle:
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "from codemapper.pipeline import map_region\n"
             "from codemapper.regions import Region, make_range\n"
             "repo, first, second, git = sys.argv[1:]\n"
-            "result = map_region(repo, Region(first, 'f.py', make_range(5, 1, 5, 4)), second, git_bin=git)\n"
+            "os.environ['CODEMAPPER_GIT'] = git\n"
+            "result = map_region(repo, Region(first, 'f.py', make_range(5, 1, 5, 4)), second)\n"
             "assert result.target.range == make_range(5, 1, 5, 4)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(codemapper.__file__).parent.parent)}
@@ -557,7 +559,7 @@ class TestDiffLocale:
 
 
 class TestEmptyDiffOutput:
-    def test_exit_1_without_output_raises(self, repo_builder, tmp_path):
+    def test_exit_1_without_output_raises(self, repo_builder, tmp_path, monkeypatch):
         # A git that reports "different" for `diff --no-index` but prints
         # nothing; every other command runs the real git.
         wrapper = tmp_path / "silent-diff-git"
@@ -572,12 +574,13 @@ class TestEmptyDiffOutput:
         wrapper.chmod(0o755)
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
-        gateway = GitGateway(repo_builder.path, git_bin=str(wrapper))
+        monkeypatch.setenv("CODEMAPPER_GIT", str(wrapper))
+        gateway = GitGateway(repo_builder.path)
         with pytest.raises(DiffToolFailure):
             gateway.diff_texts(BASE, BASE.replace("line 5", "line FIVE"))
         source = Region(first, "f.py", make_range(5, 6, 5, 6))
         with pytest.raises(DiffToolFailure):
-            map_region(repo_builder.path, source, second, git_bin=str(wrapper))
+            map_region(repo_builder.path, source, second)
 
 
 def _pin_cpus(monkeypatch, count):
@@ -608,15 +611,13 @@ class TestConcurrentDiffs:
         )
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 5", "line FIVE")})
+        monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
         for cpus in (1, 2, 4):
             _pin_cpus(monkeypatch, cpus)
             log.unlink(missing_ok=True)
             started = time.monotonic()
             with pytest.raises(DiffToolFailure, match=r"git diff failed \(2\)"):
-                map_region(
-                    repo_builder.path, Region(first, "f.py", make_range(5, 1, 5, 4)), second,
-                    git_bin=wrapper,
-                )
+                map_region(repo_builder.path, Region(first, "f.py", make_range(5, 1, 5, 4)), second)
             assert time.monotonic() - started < 10
             entries = [line.split(" ", 2) for line in log.read_text(encoding="utf-8").splitlines()]
             # myers is collected first, so its failure stops the queue
@@ -641,7 +642,8 @@ class TestConcurrentDiffs:
             '  exit "$status"\n'
             "fi"
         )
-        gateway = GitGateway(repo_builder.path, git_bin=wrapper)
+        monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+        gateway = GitGateway(repo_builder.path)
         source, target = "A\nB\nC\nA\nB\nB\nA\n", "C\nB\nA\nB\nA\nC\n"
         _pin_cpus(monkeypatch, 4)
         together = gateway.diff_texts(source, target)

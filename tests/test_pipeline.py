@@ -7,7 +7,8 @@ import pytest
 
 from codemapper import regions
 from codemapper.candidates import Origin
-from codemapper.evaluation import EvalRecord, evaluate_record
+from codemapper.evaluation import ABLATION_VARIANTS, EvalRecord, evaluate_record, load_dataset
+from codemapper.fixtures import build_corpus
 from codemapper.gitio import GitGateway, NotFound, RepoError
 from codemapper.pipeline import map_region
 from codemapper.regions import DELETED, OutOfBounds, Region, extract_text, make_range
@@ -295,11 +296,27 @@ def test_a_region_near_the_top_indexes_only_the_top_of_each_text(repo_builder, m
     assert all(len(blocks) <= 2 for blocks in fills.values())
 
 
+def test_candidates_are_distinct_under_every_ablation(tmp_path):
+    """The one dedup in map_region leaves each (file, range), and the
+    deleted verdict, at most once, whichever producers run."""
+    build_corpus(tmp_path)
+    records = load_dataset(tmp_path / "dataset.jsonl")
+    for variant, overrides in ABLATION_VARIANTS:
+        config = SelectionConfig(**overrides)
+        for record in records:
+            result = map_region(tmp_path / record.repo, record.source, record.target_commit, config)
+            found = [(c.region.file, c.region.range) for c in result.candidates if not c.is_deleted]
+            assert len(set(found)) == len(found), (variant, record.name)
+            assert len(result.candidates) - len(found) <= 1, (variant, record.name)
+
+
 class TestGitProcessBudget:
-    """The git commands one mapping runs, logged by a `git_bin` wrapper."""
+    """The git commands one mapping runs, logged by a CODEMAPPER_GIT wrapper."""
 
     @pytest.fixture
-    def logged(self, git_wrapper, tmp_path):
+    def logged(self, git_wrapper, tmp_path, monkeypatch):
+        """Call it once the repository is built: from then on git runs
+        through the logging wrapper. Returns the function that takes the log."""
         log = tmp_path / "git.log"
         wrapper = git_wrapper(f'echo "$*" >> "{log}"')
 
@@ -308,32 +325,35 @@ class TestGitProcessBudget:
             log.unlink()
             return calls
 
-        return wrapper, take
+        def start():
+            monkeypatch.setenv("CODEMAPPER_GIT", wrapper)
+            return take
+
+        return start
 
     def test_file_in_place(self, repo_builder, logged):
-        wrapper, take = logged
         first = repo_builder.commit({"f.py": BASE})
         second = repo_builder.commit({"f.py": BASE.replace("line 7", "line seven")})
-        map_region(repo_builder.path, Region(first, "f.py", make_range(7, 1, 7, 6)), second, git_bin=wrapper)
+        take = logged()
+        map_region(repo_builder.path, Region(first, "f.py", make_range(7, 1, 7, 6)), second)
         calls = take()
         assert Counter(call[0] for call in calls) == {"cat-file": 1, "diff": 4}
         assert all("--indent-heuristic" in call for call in calls if call[0] == "diff")
         # The repository's cat-file reader outlives the mapping.
-        map_region(repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second, git_bin=wrapper)
+        map_region(repo_builder.path, Region(first, "f.py", make_range(3, 1, 3, 6)), second)
         assert Counter(call[0] for call in take()) == {"diff": 4}
 
     def test_unchanged_file_runs_no_diffs(self, repo_builder, logged):
-        wrapper, take = logged
         first = repo_builder.commit({"f.py": BASE, "g.py": BASE})
         second = repo_builder.commit({"g.py": BASE.replace("line 7", "line seven")})
         source = Region(first, "f.py", make_range(7, 1, 7, 6))
-        result = map_region(repo_builder.path, source, second, git_bin=wrapper)
+        take = logged()
+        result = map_region(repo_builder.path, source, second)
         assert Counter(call[0] for call in take()) == {"cat-file": 1}
         assert result.target == Region(second, "f.py", source.range)
         assert result.candidates[0].origin is Origin.DIFF
 
     def test_moved_file_adds_only_rename_tracking(self, repo_builder, logged):
-        wrapper, take = logged
         first = repo_builder.commit({"old_name.py": BASE})
         repo_builder.commit({"old_name.py": None, "new_name.py": BASE})
         third = repo_builder.commit({"new_name.py": BASE.replace("line 11", "line XI")})
@@ -341,7 +361,8 @@ class TestGitProcessBudget:
         # rename detection, and `-M` on the one commit that deletes the
         # file; the renamed file is read by the first mapping's cat-file.
         forward = Region(first, "old_name.py", make_range(2, 1, 2, 6))
-        result = map_region(repo_builder.path, forward, third, git_bin=wrapper)
+        take = logged()
+        result = map_region(repo_builder.path, forward, third)
         assert result.target_file == "new_name.py"
         calls = take()
         assert Counter(call[0] for call in calls) == {
@@ -351,24 +372,24 @@ class TestGitProcessBudget:
         # That commit's renames are kept with the reader, so crossing it
         # again, in either direction, needs no `-M`.
         backward = Region(third, "new_name.py", make_range(2, 1, 2, 6))
-        result = map_region(repo_builder.path, backward, first, git_bin=wrapper)
+        result = map_region(repo_builder.path, backward, first)
         assert result.target_file == "old_name.py"
         calls = take()
         assert Counter(call[0] for call in calls) == {"diff": 4, "merge-base": 1, "log": 1}
         assert not any("-M" in call for call in calls)
 
     def test_evaluation_adds_nothing(self, repo_builder, logged):
-        wrapper, take = logged
         first = repo_builder.commit({"f.py": BASE, "g.py": BASE})
         second = repo_builder.commit({"f.py": text(["head"]) + BASE})
         source = Region(first, "f.py", make_range(7, 1, 7, 6))
-        map_region(repo_builder.path, source, second, git_bin=wrapper)
+        take = logged()
+        map_region(repo_builder.path, source, second)
         take()
         # Only the mapping's own diffs: the expected file, whether or not it
         # is the mapped one, is read by the reader the first mapping started.
         for expected_file, exact in [("f.py", True), ("g.py", False)]:
             expected = Region(second, expected_file, make_range(8, 1, 8, 6))
             record = EvalRecord(str(repo_builder.path), source, second, expected)
-            result = evaluate_record(record, SelectionConfig(), git_bin=wrapper)
+            result = evaluate_record(record, SelectionConfig())
             assert result.outcome.is_exact == exact
             assert Counter(call[0] for call in take()) == {"diff": 4}
