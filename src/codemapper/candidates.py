@@ -15,7 +15,6 @@ from codemapper.regions import (
     DELETED,
     CharacterRange,
     DeletedRegion,
-    Region,
     line_count,
     line_start,
     line_text,
@@ -42,7 +41,13 @@ ORIGIN_PRIORITY = {Origin.DIFF: 0, Origin.MOVEMENT: 1, Origin.SEARCH: 2}
 
 @dataclass(frozen=True)
 class Candidate:
-    region: Region | DeletedRegion
+    """One possible target: a range in the mapping's target text, or DELETED.
+
+    Every candidate of one mapping lies in the same file at the same commit;
+    `MappingResult.region_of` is the one place that makes it a `Region`.
+    """
+
+    range: CharacterRange | DeletedRegion
     origin: Origin
     similarity: float | None = None
     # Hunk that evidenced a deletion; lets the selector score the DELETED
@@ -54,7 +59,7 @@ class Candidate:
 
     @property
     def is_deleted(self) -> bool:
-        return isinstance(self.region, DeletedRegion)
+        return isinstance(self.range, DeletedRegion)
 
     @property
     def movement_detected(self) -> bool:
@@ -81,19 +86,16 @@ def classify_overlap(hunk: Hunk, source_range: CharacterRange) -> OverlapKind:
 
 
 def dedup_candidates(candidates) -> list[Candidate]:
-    """Drop duplicate (file, range) candidates, keeping the first producer.
+    """Drop duplicate ranges, DELETED included, keeping the first producer.
 
     Producers run in priority order (diff, movement, search), so the kept
     origin is the highest-priority one; a movement duplicate still marks the
     kept candidate as movement-detected for scoring purposes.
     """
-    index: dict[tuple, int] = {}
+    index: dict[CharacterRange | DeletedRegion, int] = {}
     out: list[Candidate] = []
     for cand in candidates:
-        if cand.is_deleted:
-            key = ("deleted",)
-        else:
-            key = (cand.region.file, cand.region.range.as_tuple())
+        key = cand.range
         if key in index:
             kept = out[index[key]]
             if cand.movement_detected and not kept.movement_detected:
@@ -304,8 +306,6 @@ def extract_diff_candidates(
     source_range: CharacterRange,
     source_text: str,
     target_text: str,
-    target_file: str,
-    target_commit: str,
     refine: bool = True,
 ) -> list[Candidate]:
     """Phase-1 diff candidates from all deduplicated reports, report by
@@ -320,7 +320,7 @@ def extract_diff_candidates(
         identity = _clamped(target_text, *source_range.as_tuple())
         if identity is None:
             return []
-        return [Candidate(Region(target_commit, target_file, identity), Origin.DIFF)]
+        return [Candidate(identity, Origin.DIFF)]
 
     alignments: dict[tuple[Hunk, str], WordAlignment] = {}
 
@@ -339,8 +339,6 @@ def extract_diff_candidates(
                 source_range,
                 source_text,
                 target_text,
-                target_file,
-                target_commit,
                 aligned if refine else None,
             )
         )
@@ -352,8 +350,6 @@ def _extract_from_report(
     source_range,
     source_text,
     target_text,
-    target_file,
-    target_commit,
     aligned,
 ) -> list[Candidate]:
     r1, r2 = source_range.l1, source_range.l2
@@ -396,7 +392,7 @@ def _extract_from_report(
 
     def add(rng: CharacterRange | None):
         if rng is not None:
-            candidates.append(Candidate(Region(target_commit, target_file, rng), Origin.DIFF))
+            candidates.append(Candidate(rng, Origin.DIFF))
 
     # The region's endpoints shifted by the line delta of the hunks above
     # each (middle hunks included): the untouched and the flank candidate.

@@ -47,18 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _context_size(value: str) -> int:
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid context size: {value!r}") from None
-    if size < 0:
-        raise argparse.ArgumentTypeError(f"context size must be >= 0, not {size}")
-    return size
+def _at_least(low: int, what: str):
+    """An argparse type: an integer of at least `low`, called `what`."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what}: {value!r}") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, not {number}")
+        return number
+
+    return parse
+
+
+_context_size = _at_least(0, "context size")
 
 
 def _context_sizes(value: str) -> list[int]:
-    return [_context_size(piece) for piece in value.split(",") if piece.strip()]
+    sizes = [_context_size(piece) for piece in value.split(",") if piece.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no context size in {value!r}")
+    return sizes
 
 
 def _build_parser() -> _Parser:
@@ -92,7 +103,7 @@ def _build_parser() -> _Parser:
         metavar="SIZES",
         help="comma-separated context sizes, e.g. 0,1,3,5,10,15,20",
     )
-    eval_cmd.add_argument("--jobs", type=int, default=1)
+    eval_cmd.add_argument("--jobs", type=_at_least(1, "job count"), default=1)
     eval_cmd.add_argument("--format", choices=("json", "text"), default="text")
     eval_cmd.add_argument("--out", help="write the report to this file instead of stdout")
     return parser
@@ -112,7 +123,7 @@ def _map_output(result: MappingResult, args) -> dict:
     if args.verbose:
         out["candidates"] = [
             {
-                "region": target_to_json(cand.region),
+                "region": target_to_json(result.region_of(cand)),
                 "origin": cand.origin.value,
                 "similarity": cand.similarity,
             }
@@ -140,7 +151,8 @@ def _print_map_text(result: MappingResult, args) -> None:
         )
     if args.verbose:
         for cand in result.candidates:
-            where = "deleted" if cand.is_deleted else f"{cand.region.file} {cand.region.range}"
+            region = result.region_of(cand)
+            where = "deleted" if cand.is_deleted else f"{region.file} {region.range}"
             print(f"  candidate: {where} origin={cand.origin.value} similarity={cand.similarity:.4f}")
     if args.timing:
         t = result.timings

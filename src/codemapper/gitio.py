@@ -28,6 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from stat import S_ISDIR
 
 from codemapper.regions import normalize_newlines
 
@@ -221,7 +222,9 @@ def _checkout(repo: Path, git: str) -> _Reader:
     try:
         stat = os.stat(path)
     except OSError as exc:
-        raise RepoError(f"cannot run {git}: {exc}") from exc
+        raise RepoError(f"no repository directory at {path}: {exc.strerror}") from exc
+    if not S_ISDIR(stat.st_mode):
+        raise RepoError(f"no repository directory at {path}: not a directory")
     identity = (stat.st_dev, stat.st_ino)
     reaped = []
     try:

@@ -1,15 +1,17 @@
 """Detection of cut-and-paste relocations that diffs report as
 delete-plus-add.
 
-A region qualifies only when the diff deletes every one of its lines, i.e.
-each lies in some hunk's source block; candidates come from hunks whose
-added lines contain the region's lines as a consecutive block, either
-verbatim (vertical movement) or equal up to leading/trailing whitespace
-(horizontal movement).
+A diff report counts only when it deletes every one of the region's lines,
+i.e. each lies in some hunk's source block; candidates come from that
+report's hunks whose added lines contain the region's lines as a
+consecutive block, either verbatim (vertical movement) or equal up to
+leading/trailing whitespace (horizontal movement).
 """
 
+from itertools import chain
+
 from codemapper.candidates import Candidate, Origin
-from codemapper.regions import CharacterRange, Region, line_count, line_text
+from codemapper.regions import CharacterRange, line_count, line_text
 
 
 def region_fully_deleted(source_range, hunks) -> bool:
@@ -21,16 +23,14 @@ def region_fully_deleted(source_range, hunks) -> bool:
 
 
 def detect_movements(
-    source_range: CharacterRange,
-    source_text: str,
-    hunks,
-    target_text: str,
-    target_file: str,
-    target_commit: str,
+    reports, source_range: CharacterRange, source_text: str, target_text: str
 ) -> list[Candidate]:
+    """Movement candidates from every report that deletes the whole region,
+    report by report, then hunk by hunk."""
     if source_range.l2 > line_count(source_text):
         return []
-    if not region_fully_deleted(source_range, hunks):
+    deleting = [hunks for hunks in reports if region_fully_deleted(source_range, hunks)]
+    if not deleting:
         return []
 
     block = _lines(source_text, source_range.l1, source_range.l2)
@@ -39,7 +39,7 @@ def detect_movements(
     size = len(block)
 
     candidates: list[Candidate] = []
-    for hunk in hunks:
+    for hunk in chain.from_iterable(deleting):
         if hunk.target_is_empty or hunk.target_end > target_count:
             continue
         added = _lines(target_text, hunk.target_start, hunk.target_end)
@@ -55,9 +55,7 @@ def detect_movements(
             else:
                 continue
             if rng is not None:
-                candidates.append(
-                    Candidate(Region(target_commit, target_file, rng), Origin.MOVEMENT)
-                )
+                candidates.append(Candidate(rng, Origin.MOVEMENT))
     return candidates
 
 

@@ -23,8 +23,8 @@ class PhaseTimings:
 class MappingResult:
     source: Region
     target_commit: str
-    target: Target
     target_file: str | None
+    # Ranges in `target_text`, ranked best-first.
     candidates: tuple[Candidate, ...]
     reason: str | None
     timings: PhaseTimings
@@ -36,6 +36,17 @@ class MappingResult:
     def selected(self) -> Candidate | None:
         """Ranked head, i.e. the candidate that became the target."""
         return self.candidates[0] if self.candidates else None
+
+    @property
+    def target(self) -> Target:
+        """The selected candidate's region; DELETED when there is none."""
+        return self.region_of(self.candidates[0]) if self.candidates else DELETED
+
+    def region_of(self, candidate: Candidate) -> Target:
+        """`candidate`'s range in the target file at the target commit."""
+        if candidate.is_deleted:
+            return DELETED
+        return Region(self.target_commit, self.target_file, candidate.range)
 
 
 def map_region(
@@ -66,7 +77,6 @@ def map_region(
         return MappingResult(
             source=source,
             target_commit=target_sha,
-            target=DELETED,
             target_file=None,
             candidates=(),
             reason="file_deleted",
@@ -83,36 +93,18 @@ def map_region(
     if config.use_diff:
         candidates.extend(
             extract_diff_candidates(
-                reports,
-                source.range,
-                source_text,
-                target_text,
-                resolved,
-                target_sha,
-                refine=config.use_refinement,
+                reports, source.range, source_text, target_text, refine=config.use_refinement
             )
         )
     if config.use_movement:
-        for hunks in reports:
-            candidates.extend(
-                detect_movements(
-                    source.range,
-                    source_text,
-                    hunks,
-                    target_text,
-                    resolved,
-                    target_sha,
-                )
-            )
+        candidates.extend(detect_movements(reports, source.range, source_text, target_text))
     if config.use_search:
-        candidates.extend(
-            search_text(region_text, resolved, target_sha, target_text)
-        )
+        candidates.extend(search_text(region_text, target_text))
     candidates = dedup_candidates(candidates)
     phase1_done = time.perf_counter()
 
     reference_hunks = reports[0] if reports else ()
-    target, ranked = select_target(
+    ranked = select_target(
         source.range, source_text, candidates, config, reference_hunks, target_text
     )
     finished = time.perf_counter()
@@ -120,7 +112,6 @@ def map_region(
     return MappingResult(
         source=source,
         target_commit=target_sha,
-        target=target,
         target_file=resolved,
         candidates=tuple(ranked),
         reason=None,

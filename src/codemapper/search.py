@@ -1,15 +1,10 @@
-"""Exact-occurrence text search in the target file."""
+"""Exact-occurrence text search in the target text."""
 
 from codemapper.candidates import Candidate, Origin
-from codemapper.regions import CharacterRange, Region, position_of_offset
+from codemapper.regions import CharacterRange, position_of_offset
 
 
-def search_text(
-    source_region_text: str,
-    target_file: str,
-    target_commit: str,
-    target_text: str,
-) -> list[Candidate]:
+def search_text(source_region_text: str, target_text: str) -> list[Candidate]:
     """One search candidate per exact occurrence, overlapping ones included,
     in ascending position order.
 
@@ -31,6 +26,6 @@ def search_text(
             rng = CharacterRange(line, col, *position_of_offset(target_text, pos + last))
         else:
             rng = CharacterRange(line, col, line, col + last)
-        candidates.append(Candidate(Region(target_commit, target_file, rng), Origin.SEARCH))
+        candidates.append(Candidate(rng, Origin.SEARCH))
         pos = target_text.find(pattern, pos + 1)
     return candidates

@@ -10,14 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from codemapper.candidates import ORIGIN_PRIORITY, Candidate
-from codemapper.regions import (
-    DELETED,
-    CharacterRange,
-    Target,
-    extract_text,
-    line_count,
-    line_start,
-)
+from codemapper.regions import CharacterRange, extract_text, line_count, line_start
 from codemapper.similarity import levenshtein_similarity
 
 
@@ -126,16 +119,14 @@ class _Flanks:
 
 
 def _rank_key(candidate: Candidate):
-    position = (
-        (float("inf"),) * 4
-        if candidate.is_deleted
-        else candidate.region.range.as_tuple()
-    )
+    # A mapping has at most one deleted candidate, so its position is never
+    # compared.
+    deleted = candidate.is_deleted
     return (
         -(candidate.similarity or 0.0),
-        1 if candidate.is_deleted else 0,
+        deleted,
         ORIGIN_PRIORITY[candidate.origin],
-        position,
+        None if deleted else candidate.range.as_tuple(),
     )
 
 
@@ -146,12 +137,12 @@ def select_target(
     config: SelectionConfig,
     hunks,
     target_text: str,
-) -> tuple[Target, list[Candidate]]:
-    """Highest-similarity candidate wins; exact ties go to non-deleted
-    candidates, then origin priority (diff > movement > search), then the
-    earliest target position. An empty candidate set means deletion."""
+) -> list[Candidate]:
+    """The candidates scored and ranked best-first: highest similarity, then
+    non-deleted candidates, then origin priority (diff > movement > search),
+    then the earliest target position."""
     if not candidates:
-        return DELETED, []
+        return []
     n = config.context_lines
     src_plain = extract_text(source_text, source_range)
     if n:
@@ -200,16 +191,14 @@ def select_target(
                     site = target_flanks.around(hunk.target_start, hunk.target_end)
                 value = score(src_ctx_only, site)
         elif cand.movement_detected:
-            value = score(src_plain, text_of(cand.region.range))
+            value = score(src_plain, text_of(cand.range))
         else:
-            rng = cand.region.range
+            rng = cand.range
             cand_ctx = text_of(rng)
             if n:
                 cand_ctx = target_flanks.around(rng.l1, rng.l2, cand_ctx)
             value = score(src_with_ctx, cand_ctx)
         scored.append(
-            Candidate(cand.region, cand.origin, value, cand.source_hunk, cand.via_movement)
+            Candidate(cand.range, cand.origin, value, cand.source_hunk, cand.via_movement)
         )
-
-    ranked = sorted(scored, key=_rank_key)
-    return ranked[0].region, ranked
+    return sorted(scored, key=_rank_key)

@@ -199,10 +199,10 @@ def test_criterion_4_offset_accounting_oracle(tmp_path):
         parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
         # Unrefined, so the check covers the offset accounting alone.
         candidates = extract_diff_candidates(
-            parsed, region, source, target, "f", "c", refine=False
+            parsed, region, source, target, refine=False
         )
         texts = [
-            extract_text(target, c.region.range) for c in candidates if not c.is_deleted
+            extract_text(target, c.range) for c in candidates if not c.is_deleted
         ]
         if "\n".join(marked) not in texts:
             failures += 1
@@ -285,9 +285,9 @@ def test_criterion_5_refinement_oracle(tmp_path):
         target = target_line + "\n"
         reports = gateway.diff_texts(source, target, algorithms=MYERS)
         parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
-        candidates = extract_diff_candidates(parsed, region, source, target, "f", "c")
+        candidates = extract_diff_candidates(parsed, region, source, target)
         refined = next(
-            (c.region.range for c in candidates if not c.is_deleted), None
+            (c.range for c in candidates if not c.is_deleted), None
         )
         if refined is None:
             continue

@@ -15,7 +15,7 @@ from codemapper.candidates import (
 )
 from codemapper.diffparse import Hunk, align, parse_word_diff
 from codemapper.gitio import Algorithm, GitGateway
-from codemapper.regions import DELETED, Region, extract_text, make_range
+from codemapper.regions import DELETED, extract_text, make_range
 
 MYERS = (Algorithm.MYERS,)
 
@@ -78,7 +78,7 @@ def gateway(tmp_path):
 def run_extraction(gateway, source, target, rng, refine=True):
     reports = gateway.diff_texts(source, target, algorithms=MYERS)
     parsed = tuple(tuple(parse_word_diff(r)) for r in reports)
-    return extract_diff_candidates(parsed, rng, source, target, "f.py", "deadbeef", refine=refine)
+    return extract_diff_candidates(parsed, rng, source, target, refine=refine)
 
 
 class TestExtraction:
@@ -89,8 +89,8 @@ class TestExtraction:
         candidates = run_extraction(gateway, source, target, rng)
         assert candidates
         best = candidates[0]
-        assert best.region.range == make_range(8, 1, 10, 2)
-        assert extract_text(target, best.region.range) == extract_text(source, rng)
+        assert best.range == make_range(8, 1, 10, 2)
+        assert extract_text(target, best.range) == extract_text(source, rng)
 
     def test_whole_block_deleted_yields_only_the_deleted_candidate(self, gateway):
         source = lines_to_text(["keep1", "gone a", "gone b", "keep2"])
@@ -108,7 +108,7 @@ class TestExtraction:
         target = lines_to_text(["before", "x = values.updated", "after"])
         rng = make_range(2, 12, 2, 14)  # "old"
         candidates = run_extraction(gateway, source, target, rng)
-        texts = [extract_text(target, c.region.range) for c in candidates if not c.is_deleted]
+        texts = [extract_text(target, c.range) for c in candidates if not c.is_deleted]
         assert "updated" in texts
 
     def test_unrefined_candidate_covers_whole_line(self, gateway):
@@ -116,7 +116,7 @@ class TestExtraction:
         target = lines_to_text(["before", "x = values.updated", "after"])
         rng = make_range(2, 12, 2, 14)
         candidates = run_extraction(gateway, source, target, rng, refine=False)
-        texts = [extract_text(target, c.region.range) for c in candidates if not c.is_deleted]
+        texts = [extract_text(target, c.range) for c in candidates if not c.is_deleted]
         assert texts == ["x = values.updated"]
 
     def test_middle_insertion_grows_region(self, gateway):
@@ -125,15 +125,15 @@ class TestExtraction:
         rng = make_range(2, 1, 4, 1)  # b..d
         candidates = run_extraction(gateway, source, target, rng)
         best = candidates[0]
-        assert best.region.range == make_range(2, 1, 5, 1)
-        assert extract_text(target, best.region.range) == "b\nINSERTED\nc\nd"
+        assert best.range == make_range(2, 1, 5, 1)
+        assert extract_text(target, best.range) == "b\nINSERTED\nc\nd"
 
     def test_top_overlap(self, gateway):
         source = lines_to_text(["ctx1", "old a", "old b", "tail 1", "tail 2", "ctx2"])
         target = lines_to_text(["ctx1", "new a", "tail 1", "tail 2", "ctx2"])
         rng = make_range(2, 1, 5, 6)  # old a .. tail 2
         candidates = run_extraction(gateway, source, target, rng)
-        best_texts = [extract_text(target, c.region.range) for c in candidates if not c.is_deleted]
+        best_texts = [extract_text(target, c.range) for c in candidates if not c.is_deleted]
         assert any(t.endswith("tail 1\ntail 2") for t in best_texts)
 
     def test_bottom_overlap(self, gateway):
@@ -141,7 +141,7 @@ class TestExtraction:
         target = lines_to_text(["ctx1", "head 1", "head 2", "new a", "ctx2"])
         rng = make_range(2, 1, 5, 5)
         candidates = run_extraction(gateway, source, target, rng)
-        best_texts = [extract_text(target, c.region.range) for c in candidates if not c.is_deleted]
+        best_texts = [extract_text(target, c.range) for c in candidates if not c.is_deleted]
         assert any(t.startswith("head 1\nhead 2") for t in best_texts)
 
     def test_changed_first_and_last_lines_join_into_one_candidate(self, gateway):
@@ -150,12 +150,12 @@ class TestExtraction:
         source = lines_to_text(["ctx", "alpha = old_a", "middle", "omega = old_b", "ctx2"])
         target = lines_to_text(["ctx", "alpha = new_a", "middle", "omega = new_b", "ctx2"])
         candidates = run_extraction(gateway, source, target, make_range(2, 9, 4, 13))
-        assert [c.region.range for c in candidates] == [
+        assert [c.range for c in candidates] == [
             make_range(2, 9, 3, 6),  # top
             make_range(3, 1, 4, 13),  # bottom
             make_range(2, 9, 4, 13),  # joined
         ]
-        assert extract_text(target, candidates[2].region.range) == "new_a\nmiddle\nomega = new_b"
+        assert extract_text(target, candidates[2].range) == "new_a\nmiddle\nomega = new_b"
 
     def test_top_candidate_stops_above_a_middle_hunk(self, gateway):
         # The top candidate ends at the end of the last source line above
@@ -163,17 +163,17 @@ class TestExtraction:
         source = lines_to_text(["ctx", "alpha = old_a", "keep one", "x = 1", "keep two", "tail"])
         target = lines_to_text(["ctx", "alpha = new_a", "keep one", "x = 2", "keep two", "tail"])
         candidates = run_extraction(gateway, source, target, make_range(2, 9, 6, 2))
-        assert [c.region.range for c in candidates] == [
+        assert [c.range for c in candidates] == [
             make_range(2, 9, 3, 8),
             make_range(2, 9, 6, 2),
         ]
-        assert extract_text(target, candidates[0].region.range) == "new_a\nkeep one"
+        assert extract_text(target, candidates[0].range) == "new_a\nkeep one"
 
     def test_dedup_keeps_first_origin(self):
-        region = Region("c", "f", make_range(1, 1, 1, 3))
+        rng = make_range(1, 1, 1, 3)
         cands = [
-            Candidate(region, Origin.DIFF),
-            Candidate(region, Origin.SEARCH),
+            Candidate(rng, Origin.DIFF),
+            Candidate(rng, Origin.SEARCH),
             Candidate(DELETED, Origin.DIFF),
             Candidate(DELETED, Origin.DIFF),
         ]
@@ -290,8 +290,8 @@ class TestRenameBelowInsertedLine:
             ["def f(a):", "    x = 1", "    y = x + 2", "    amount = compute(a, 3)", "    return x"]
         )
         candidates = run_extraction(gateway, source, target, make_range(3, 5, 3, 9))
-        assert candidates[0].region.range == make_range(4, 5, 4, 10)
-        assert extract_text(target, candidates[0].region.range) == "amount"
+        assert candidates[0].range == make_range(4, 5, 4, 10)
+        assert extract_text(target, candidates[0].range) == "amount"
 
     def test_token_below_a_blank_line_that_became_statements(self, gateway):
         # An empty source line replaced by two statements, and a rename on
@@ -315,7 +315,7 @@ class TestRenameBelowInsertedLine:
         )
         candidates = run_extraction(gateway, source, target, make_range(3, 23, 3, 30))
         assert extract_text(source, make_range(3, 23, 3, 30)) == "zq_alpha"
-        assert candidates[0].region.range == make_range(4, 22, 4, 29)
+        assert candidates[0].range == make_range(4, 22, 4, 29)
 
 
 class TestOffsetAccountingOracle:
@@ -360,7 +360,7 @@ class TestOffsetAccountingOracle:
             # Unrefined, so only the offset accounting places the block.
             candidates = run_extraction(gateway, source, target, region, refine=False)
             extracted = [
-                extract_text(target, c.region.range)
+                extract_text(target, c.range)
                 for c in candidates
                 if not c.is_deleted
             ]

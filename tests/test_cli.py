@@ -165,6 +165,17 @@ class TestCmdMap:
         assert code == 3
         assert "repository error" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_repo_that_is_no_directory_is_3(self, tmp_path, capsys, kind):
+        repo = tmp_path / "repo"
+        if kind == "file":
+            repo.write_text("not a repository\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *map_args(repo, "HEAD", "HEAD"))
+        assert code == 3
+        assert f"repository error: no repository directory at {repo}: " in err
+        assert "cannot run" not in err
+        assert out == ""
+
     def test_unreadable_git_output_is_70(self, repo_builder, capsys, monkeypatch):
         sha = repo_builder.commit({"f.py": BASE})
 
@@ -354,6 +365,19 @@ class TestCmdEval:
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
         monkeypatch.setattr(cli, "SelectionConfig", _no_config)
+        monkeypatch.setattr(cli, "load_dataset", _no_config)
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
+        assert code == 64
+        assert flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "0"), ("--jobs", "-3"), ("--context-sweep", ","), ("--context-sweep", "")],
+    )
+    def test_no_jobs_or_no_sweep_size_is_64(self, tmp_path, capsys, monkeypatch, flag, value):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
         monkeypatch.setattr(cli, "load_dataset", _no_config)
         code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
         assert code == 64

@@ -268,7 +268,7 @@ def test_evaluate_records_repo_errors_without_dying(tmp_path):
     assert report.results[0].error is not None
     assert report.results[0].outcome is None
     (record,) = report.to_json()["records"]
-    assert record["error"].startswith("RepoError: cannot run git: ")
+    assert record["error"].startswith(f"RepoError: no repository directory at {tmp_path}")
     assert record["predicted"] is None
     assert "outcome" not in record
 

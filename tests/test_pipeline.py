@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from codemapper import regions
+from codemapper import pipeline, regions
 from codemapper.candidates import Origin
 from codemapper.evaluation import ABLATION_VARIANTS, EvalRecord, evaluate_record, load_dataset
 from codemapper.fixtures import build_corpus
@@ -101,6 +101,29 @@ class TestMapRegion:
         got = extract_text(text(filler + block), result.target.range)
         assert got == "\n".join(block)
 
+    def test_movement_detection_runs_once_with_every_report(self, repo_builder, monkeypatch):
+        filler = [f"filler {i} zzz" for i in range(8)]
+        block = ["def moved():", "    return 42"]
+        first = repo_builder.commit({"f.py": text(block + filler)})
+        second = repo_builder.commit({"f.py": text(filler + block)})
+        parsed, calls = [], []
+        parse, detect = pipeline.parse_word_diff, pipeline.detect_movements
+
+        def counting_parse(report):
+            parsed.append(report)
+            return parse(report)
+
+        def counting_detect(reports, *args):
+            calls.append(len(reports))
+            return detect(reports, *args)
+
+        monkeypatch.setattr(pipeline, "parse_word_diff", counting_parse)
+        monkeypatch.setattr(pipeline, "detect_movements", counting_detect)
+        source = Region(first, "f.py", make_range(1, 1, 2, 13))
+        result = map_region(repo_builder.path, source, second)
+        assert result.selected.origin is Origin.MOVEMENT
+        assert calls == [len(parsed)]
+
     def test_directory_source_path_is_not_found(self, repo_builder):
         repo_builder.commit({"pkg/m.py": BASE})
         repo_builder.commit({"pkg/m.py": BASE + "tail\n"})
@@ -134,7 +157,7 @@ class TestMapRegion:
         one = map_region(repo_builder.path, source, second)
         two = map_region(repo_builder.path, source, second)
         assert one.target == two.target
-        assert [c.region for c in one.candidates] == [c.region for c in two.candidates]
+        assert [c.range for c in one.candidates] == [c.range for c in two.candidates]
         assert [c.similarity for c in one.candidates] == [c.similarity for c in two.candidates]
 
     def test_candidates_ranked_best_first(self, repo_builder):
@@ -144,7 +167,7 @@ class TestMapRegion:
         result = map_region(repo_builder.path, source, second)
         scores = [c.similarity for c in result.candidates]
         assert scores == sorted(scores, reverse=True)
-        assert result.selected.region == result.target
+        assert result.region_of(result.selected) == result.target
 
     def test_ablation_baseline_diff_only(self, repo_builder):
         first = repo_builder.commit({"f.py": BASE})
@@ -297,17 +320,21 @@ def test_a_region_near_the_top_indexes_only_the_top_of_each_text(repo_builder, m
 
 
 def test_candidates_are_distinct_under_every_ablation(tmp_path):
-    """The one dedup in map_region leaves each (file, range), and the
-    deleted verdict, at most once, whichever producers run."""
+    """The one dedup in map_region leaves each range, and the deleted
+    verdict, at most once, whichever producers run; every range lies in the
+    target text, in the target file."""
     build_corpus(tmp_path)
     records = load_dataset(tmp_path / "dataset.jsonl")
     for variant, overrides in ABLATION_VARIANTS:
         config = SelectionConfig(**overrides)
         for record in records:
             result = map_region(tmp_path / record.repo, record.source, record.target_commit, config)
-            found = [(c.region.file, c.region.range) for c in result.candidates if not c.is_deleted]
-            assert len(set(found)) == len(found), (variant, record.name)
+            found = [c for c in result.candidates if not c.is_deleted]
+            assert len({c.range for c in found}) == len(found), (variant, record.name)
             assert len(result.candidates) - len(found) <= 1, (variant, record.name)
+            for c in found:
+                regions.to_abs_interval(result.target_text, c.range)  # must not raise
+                assert result.region_of(c).file == result.target_file
 
 
 class TestGitProcessBudget:

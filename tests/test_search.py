@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from codemapper import regions
 from codemapper.candidates import Origin
-from codemapper.regions import AbsInterval, Region, extract_text, range_of_interval
+from codemapper.regions import AbsInterval, extract_text, range_of_interval
 from codemapper.search import search_text
 
 
@@ -19,43 +19,43 @@ def naive_positions(needle: str, haystack: str) -> list[int]:
 
 def test_two_occurrences():
     target = "x = self.y\nprint(self.y)\n"
-    found = search_text("self.y", "f.py", "c1", target)
+    found = search_text("self.y", target)
     assert len(found) == 2
-    assert all(extract_text(target, c.region.range) == "self.y" for c in found)
+    assert all(extract_text(target, c.range) == "self.y" for c in found)
 
 def test_absent_text():
-    assert search_text("missing", "f.py", "c1", "nothing here\n") == []
+    assert search_text("missing", "nothing here\n") == []
 
 
 def test_empty_needle():
-    assert search_text("", "f.py", "c1", "abc\n") == []
+    assert search_text("", "abc\n") == []
 
 
 def test_token_in_changed_line():
     target = "total = self.y * 2\n"
-    found = search_text("self.y", "f.py", "c1", target)
+    found = search_text("self.y", target)
     assert len(found) == 1
-    rng = found[0].region.range
+    rng = found[0].range
     assert (rng.l1, rng.c1, rng.l2, rng.c2) == (1, 9, 1, 14)
 
 
 def test_overlapping_occurrences_all_reported():
-    found = search_text("aa", "f.py", "c1", "aaaa\n")
+    found = search_text("aa", "aaaa\n")
     assert len(found) == 3
 
 
 def test_multi_line_needle():
     target = "one\ntwo\nthree\none\ntwo\n"
-    found = search_text("one\ntwo", "f.py", "c1", target)
+    found = search_text("one\ntwo", target)
     assert len(found) == 2
-    assert found[0].region.range.l1 == 1
-    assert found[1].region.range.l1 == 4
+    assert found[0].range.l1 == 1
+    assert found[1].range.l1 == 4
 
 
 def test_ascending_deterministic_order():
     target = "ab ab ab\n"
-    found = search_text("ab", "f.py", "c1", target)
-    starts = [c.region.range.c1 for c in found]
+    found = search_text("ab", target)
+    starts = [c.range.c1 for c in found]
     assert starts == sorted(starts)
 
 
@@ -66,7 +66,7 @@ def test_ascending_deterministic_order():
 def test_count_matches_naive_scan(needle, haystack):
     """Every hit's range is the one the per-offset conversion gives at the
     naive scan's position; no range starts or ends on a newline."""
-    found = search_text(needle, "f.py", "c1", haystack)
+    found = search_text(needle, haystack)
     if "\n" in (needle[0], needle[-1]):
         assert found == []
         return
@@ -74,11 +74,10 @@ def test_count_matches_naive_scan(needle, haystack):
         range_of_interval(haystack, AbsInterval(i, i + len(needle)))
         for i in naive_positions(needle, haystack)
     ]
-    assert [cand.region.range for cand in found] == expected
+    assert [cand.range for cand in found] == expected
     for cand in found:
         assert cand.origin is Origin.SEARCH
-        assert cand.region == Region("c1", "f.py", cand.region.range)
-        assert extract_text(haystack, cand.region.range) == needle
+        assert extract_text(haystack, cand.range) == needle
 
 
 class _NewlineScans(str):
@@ -126,11 +125,11 @@ def test_a_one_line_text_places_each_hit_without_walking_its_line(monkeypatch):
     monkeypatch.setattr(regions, "_newlines", counting_fill)
     regions._starts.cache_clear()
     try:
-        found = search_text("x", "f.py", "c1", target)
+        found = search_text("x", target)
     finally:
         regions._starts.cache_clear()
     assert len(found) == 10_500
-    assert [c.region.range.c1 for c in found[:3]] == [100, 200, 300]
-    assert found[-1].region.range.as_tuple() == (1, len(target), 1, len(target))
+    assert [c.range.c1 for c in found[:3]] == [100, 200, 300]
+    assert found[-1].range.as_tuple() == (1, len(target), 1, len(target))
     assert len(fills) == len(set(fills)) <= -(-len(target) // regions._BLOCK)
     assert target.scanned <= 2 * len(target)

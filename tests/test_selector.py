@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from codemapper import regions, selector, similarity
 from codemapper.candidates import Candidate, Origin
 from codemapper.diffparse import Hunk
-from codemapper.regions import DELETED, Region, extract_text, make_range
+from codemapper.regions import DELETED, extract_text, make_range
 from codemapper.search import search_text
 from codemapper.selector import SelectionConfig, _Flanks, select_target
 from codemapper.similarity import levenshtein_similarity
@@ -32,7 +32,7 @@ class TestAddContext:
         monkeypatch.setattr(selector, "_Flanks", no_flanks)
         cand = diff_cand(make_range(5, 1, 5, 2))
         config = SelectionConfig(context_lines=0)
-        _, ranked = select_target(make_range(2, 1, 2, 2), self.FILE, [cand], config, (), self.FILE)
+        ranked = select_target(make_range(2, 1, 2, 2), self.FILE, [cand], config, (), self.FILE)
         assert ranked[0].similarity == levenshtein_similarity("l2", "l5")
 
     def test_file_top_truncates(self):
@@ -52,7 +52,7 @@ class TestAddContext:
         hunks = (Hunk(3, 4, 3, 5),)
         cand = diff_cand(make_range(6, 1, 6, 2))
         config = SelectionConfig(context_lines=2)
-        _, ranked = select_target(
+        ranked = select_target(
             make_range(6, 1, 6, 2), self.FILE, [cand], config, hunks, self.FILE
         )
         assert ranked[0].similarity == levenshtein_similarity(
@@ -63,12 +63,12 @@ class TestAddContext:
         source = text(["a", "b", "c"])
         cand = diff_cand(make_range(5, 2, 5, 2))
         config = SelectionConfig(context_lines=1)
-        _, ranked = select_target(make_range(2, 1, 2, 1), source, [cand], config, (), self.FILE)
+        ranked = select_target(make_range(2, 1, 2, 1), source, [cand], config, (), self.FILE)
         assert ranked[0].similarity == levenshtein_similarity("a\nb\nc", "l4\n5\nl6")
 
 
 def diff_cand(rng, similarity=None):
-    return Candidate(Region("tc", "f.py", rng), Origin.DIFF, similarity)
+    return Candidate(rng, Origin.DIFF, similarity)
 
 
 class TestSelectTarget:
@@ -85,14 +85,13 @@ class TestSelectTarget:
         )
 
     def test_empty_candidates_mean_deleted(self):
-        target, ranked = self.run([], self.SOURCE)
-        assert target is DELETED and ranked == []
+        assert self.run([], self.SOURCE) == []
 
     def test_single_candidate_wins_regardless_of_score(self):
         target_text = text(["a", "b", "entirely different", "c", "d"])
-        cand = Candidate(Region("tc", "f.py", make_range(3, 1, 3, 18)), Origin.DIFF)
-        target, ranked = self.run([cand], target_text)
-        assert target == cand.region
+        cand = Candidate(make_range(3, 1, 3, 18), Origin.DIFF)
+        ranked = self.run([cand], target_text)
+        assert ranked[0].range == cand.range
         assert ranked[0].similarity is not None
 
     def test_priority_breaks_exact_ties(self):
@@ -102,10 +101,10 @@ class TestSelectTarget:
         hunks = (Hunk(1, 0, 1, 1),)
         rng = make_range(4, 1, 4, 11)
         cands = [
-            Candidate(Region("tc", "f.py", rng), Origin.SEARCH),
-            Candidate(Region("tc", "f.py", rng), Origin.DIFF),
+            Candidate(rng, Origin.SEARCH),
+            Candidate(rng, Origin.DIFF),
         ]
-        target, ranked = self.run(cands, target_text, hunks=hunks)
+        ranked = self.run(cands, target_text, hunks=hunks)
         assert ranked[0].origin is Origin.DIFF
         assert ranked[0].similarity == 1.0
 
@@ -113,24 +112,24 @@ class TestSelectTarget:
         # The moved text matches exactly, while its new context differs; the
         # movement candidate must still score 1.0 and win.
         target_text = text(["x", "y", "other stuff", "region text", "w"])
-        move = Candidate(Region("tc", "f.py", make_range(4, 1, 4, 11)), Origin.MOVEMENT)
-        diff = Candidate(Region("tc", "f.py", make_range(3, 1, 3, 11)), Origin.DIFF)
-        target, ranked = self.run([move, diff], target_text)
+        move = Candidate(make_range(4, 1, 4, 11), Origin.MOVEMENT)
+        diff = Candidate(make_range(3, 1, 3, 11), Origin.DIFF)
+        ranked = self.run([move, diff], target_text)
         assert ranked[0].origin is Origin.MOVEMENT
         assert ranked[0].similarity == 1.0
 
     def test_deleted_loses_ties_to_real_candidates(self):
         target_text = text(["a", "b", "region text", "c", "d"])
-        real = Candidate(Region("tc", "f.py", make_range(3, 1, 3, 11)), Origin.DIFF)
+        real = Candidate(make_range(3, 1, 3, 11), Origin.DIFF)
         gone = Candidate(DELETED, Origin.DIFF, source_hunk=Hunk(3, 3, 3, 2))
-        target, ranked = self.run([real, gone], target_text)
-        assert target == real.region
+        ranked = self.run([real, gone], target_text)
+        assert ranked[0].range == real.range
 
     def test_selection_invariant_under_permutation(self):
         target_text = text(["a", "b", "region texx", "c", "d", "region text"])
         cands = [
             diff_cand(make_range(3, 1, 3, 11)),
-            Candidate(Region("tc", "f.py", make_range(6, 1, 6, 11)), Origin.SEARCH),
+            Candidate(make_range(6, 1, 6, 11), Origin.SEARCH),
             Candidate(DELETED, Origin.DIFF, source_hunk=Hunk(3, 3, 3, 2)),
         ]
         rng = random.Random(5)
@@ -138,8 +137,7 @@ class TestSelectTarget:
         for _ in range(10):
             shuffled = list(cands)
             rng.shuffle(shuffled)
-            target, ranked = self.run(shuffled, target_text)
-            key = (repr(target), [repr(c.region) for c in ranked])
+            key = [repr(c.range) for c in self.run(shuffled, target_text)]
             if baseline is None:
                 baseline = key
             assert key == baseline
@@ -150,13 +148,13 @@ class TestSelectTarget:
             diff_cand(make_range(2, 1, 2, 3)),
             diff_cand(make_range(3, 1, 3, 11)),
         ]
-        _, ranked = self.run(cands, target_text)
+        ranked = self.run(cands, target_text)
         assert all(0.0 <= c.similarity <= 1.0 for c in ranked)
 
     def test_exact_context_match_scores_one(self):
         target_text = self.SOURCE
         cand = diff_cand(make_range(3, 1, 3, 11))
-        _, ranked = self.run([cand], target_text)
+        ranked = self.run([cand], target_text)
         assert ranked[0].similarity == 1.0
 
     def test_rank_order_is_monotone_in_score(self):
@@ -165,7 +163,7 @@ class TestSelectTarget:
             diff_cand(make_range(3, 1, 3, 11)),
             diff_cand(make_range(6, 1, 6, 14)),
         ]
-        _, ranked = self.run(cands, target_text)
+        ranked = self.run(cands, target_text)
         scores = [c.similarity for c in ranked]
         assert scores == sorted(scores, reverse=True)
 
@@ -177,14 +175,14 @@ class TestSelectTarget:
         cands = [
             diff_cand(make_range(3, 1, 3, 11), similarity=0.91),
             diff_cand(make_range(6, 1, 6, 14), similarity=0.35),
-            Candidate(Region("tc", "f.py", make_range(1, 1, 1, 1)), Origin.SEARCH, 0.66),
+            Candidate(make_range(1, 1, 1, 1), Origin.SEARCH, 0.66),
         ]
-        baseline = min(cands, key=_rank_key).region
+        baseline = min(cands, key=_rank_key).range
         for transform in (lambda s: s**3, lambda s: 0.5 * s + 0.1, lambda s: s / 7):
             rescored = [
-                Candidate(c.region, c.origin, transform(c.similarity)) for c in cands
+                Candidate(c.range, c.origin, transform(c.similarity)) for c in cands
             ]
-            assert min(rescored, key=_rank_key).region == baseline
+            assert min(rescored, key=_rank_key).range == baseline
 
 
 class TestDeletedScoring:
@@ -193,10 +191,10 @@ class TestDeletedScoring:
         target_text = text(["a", "b", "c", "d"])
         hunks = (Hunk(3, 3, 3, 2),)
         gone = Candidate(DELETED, Origin.DIFF, source_hunk=hunks[0])
-        target, ranked = select_target(
+        ranked = select_target(
             make_range(3, 1, 3, 4), source, [gone], SelectionConfig(), hunks, target_text
         )
-        assert target is DELETED
+        assert ranked[0].range is DELETED
         assert ranked[0].similarity == 1.0  # surroundings match exactly
 
     def test_context_off_zeroes_deleted_score(self):
@@ -205,10 +203,10 @@ class TestDeletedScoring:
         hunks = (Hunk(3, 3, 3, 2),)
         gone = Candidate(DELETED, Origin.DIFF, source_hunk=hunks[0])
         config = SelectionConfig(context_lines=0)
-        target, ranked = select_target(
+        ranked = select_target(
             make_range(3, 1, 3, 4), source, [gone], config, hunks, target_text
         )
-        assert target is DELETED  # still the only candidate
+        assert ranked[0].range is DELETED  # still the only candidate
         assert ranked[0].similarity == 0.0
 
 
@@ -228,10 +226,10 @@ class TestNegativeContext:
             Candidate(DELETED, Origin.DIFF, source_hunk=hunk),
         ]
         config = SelectionConfig(context_lines=0)
-        target, ranked = select_target(
+        ranked = select_target(
             make_range(2, 1, 2, 6), source, cands, config, (hunk,), target_text
         )
-        assert target == cands[0].region
+        assert ranked[0].range == cands[0].range
         assert [c.similarity for c in ranked] == [levenshtein_similarity("gone x", "gone y"), 0.0]
 
 
@@ -285,10 +283,10 @@ def _scoring_case(draw):
     target = "\n".join(target_lines) + draw(st.sampled_from(["", "\n"]))
     hunks = draw(_hunks(len(source_lines), len(target_lines)))
     cands = [
-        Candidate(Region("tc", "f.py", draw(_ranges(target_lines))), Origin.DIFF)
+        Candidate(draw(_ranges(target_lines)), Origin.DIFF)
         for _ in range(draw(st.integers(1, 3)))
     ]
-    cands.append(Candidate(Region("tc", "f.py", draw(_ranges(target_lines))), Origin.MOVEMENT))
+    cands.append(Candidate(draw(_ranges(target_lines)), Origin.MOVEMENT))
     site = draw(st.sampled_from(hunks + (None,)))
     cands.append(Candidate(DELETED, Origin.DIFF, source_hunk=site))
     n = draw(st.sampled_from([0, 1, 2, 15]))
@@ -306,7 +304,7 @@ def test_similarities_match_brute_force_context(case):
     )
     src_ctx_only = _brute_context(source, source_range.l1, source_range.l2, source_changed, n, [])
 
-    _, ranked = select_target(
+    ranked = select_target(
         source_range, source, cands, SelectionConfig(context_lines=n), hunks, target
     )
     assert len(ranked) == len(cands)
@@ -322,9 +320,9 @@ def test_similarities_match_brute_force_context(case):
                     site = _brute_context(target, first, last, target_changed, n, [])
                 expected = levenshtein_similarity(src_ctx_only, site)
         elif cand.origin is Origin.MOVEMENT:
-            expected = levenshtein_similarity(plain, extract_text(target, cand.region.range))
+            expected = levenshtein_similarity(plain, extract_text(target, cand.range))
         else:
-            rng = cand.region.range
+            rng = cand.range
             cand_ctx = _brute_context(
                 target, rng.l1, rng.l2, target_changed, n, [extract_text(target, rng)]
             )
@@ -342,7 +340,7 @@ def test_flooded_region_scores_each_distinct_pair_once(monkeypatch):
     source = text(lines[:2000] + ["deleted"] + lines[2000:])
     hunks = (Hunk(2001, 2001, 2001, 2000),)
     source_range = make_range(2100, 2, 2100, 2)
-    cands = search_text("(", "f.py", "tc", target)
+    cands = search_text("(", target)
     assert len(cands) >= 5000
 
     line_text_calls, pairs, kernel_calls = [], [], []
@@ -364,7 +362,7 @@ def test_flooded_region_scores_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(selector, "line_text", counting_line_text, raising=False)
     monkeypatch.setattr(selector, "levenshtein_similarity", recording_similarity)
     monkeypatch.setattr(similarity, "_kernel", counting_kernel)
-    _, ranked = select_target(
+    ranked = select_target(
         source_range, source, cands, SelectionConfig(context_lines=15), hunks, target
     )
     assert len(line_text_calls) < len(cands)
@@ -373,6 +371,6 @@ def test_flooded_region_scores_each_distinct_pair_once(monkeypatch):
 
     src_with_ctx = _brute_context(source, 2100, 2100, {2001}, 15, ["("])
     for cand in random.Random(7).sample(ranked, 40) + ranked[:3] + ranked[-3:]:
-        rng = cand.region.range
+        rng = cand.range
         cand_ctx = _brute_context(target, rng.l1, rng.l2, set(), 15, ["("])
         assert cand.similarity == levenshtein_similarity(src_with_ctx, cand_ctx)
