@@ -313,35 +313,11 @@ def extract_diff_candidates(
     map_region's one dedup keeps the first.
 
     Each report's candidates are refined with the word alignment of its own
-    hunks. No reports at all means the contents are identical, so the region
-    maps onto itself.
+    hunks.
     """
-    if not reports:
-        identity = _clamped(target_text, *source_range.as_tuple())
-        if identity is None:
-            return []
-        return [Candidate(identity, Origin.DIFF)]
-
-    alignments: dict[tuple[Hunk, str], WordAlignment] = {}
-
-    def aligned(hunk: Hunk) -> WordAlignment:
-        # Reports whose hunks share bounds and body share one alignment.
-        key = (hunk, hunk.body)
-        if key not in alignments:
-            alignments[key] = align(hunk, source_text, target_text)
-        return alignments[key]
-
     out: list[Candidate] = []
     for report in reports:
-        out.extend(
-            _extract_from_report(
-                report,
-                source_range,
-                source_text,
-                target_text,
-                aligned if refine else None,
-            )
-        )
+        out.extend(_extract_from_report(report, source_range, source_text, target_text, refine))
     return out
 
 
@@ -350,7 +326,7 @@ def _extract_from_report(
     source_range,
     source_text,
     target_text,
-    aligned,
+    refine: bool,
 ) -> list[Candidate]:
     r1, r2 = source_range.l1, source_range.l2
     region_lines = frozenset(range(r1, r2 + 1))
@@ -383,9 +359,10 @@ def _extract_from_report(
 
     def refined(coarse: CharacterRange | None, hunk: Hunk, *ends) -> CharacterRange | None:
         # An empty target block places no endpoint; refinement is a no-op there.
-        if coarse is None or not aligned or hunk.target_is_empty:
+        if coarse is None or not refine or hunk.target_is_empty:
             return coarse
-        rng = refine_endpoints(source_range, aligned(hunk), coarse, source_text, target_text, ends)
+        alignment = align(hunk, source_text, target_text)
+        rng = refine_endpoints(source_range, alignment, coarse, source_text, target_text, ends)
         return _clamped(target_text, *rng.as_tuple()) or coarse
 
     candidates: list[Candidate] = []

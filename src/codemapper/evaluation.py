@@ -132,10 +132,9 @@ def classify_outcome(predicted: Target, expected: Target, target_text: str) -> E
         return EvalOutcome(OutcomeKind.WRONG_DELETION, 0.0, 0.0, 0.0)
     if expected_deleted:
         return EvalOutcome(OutcomeKind.MISSED_DELETION, 0.0, 0.0, 0.0)
-    try:
-        recall, precision, f1 = overlap_metrics(predicted, expected, target_text)
-    except FileMismatch:
+    if predicted.file != expected.file:
         return EvalOutcome(OutcomeKind.NO_OVERLAP, 0.0, 0.0, 0.0)
+    recall, precision, f1 = overlap_metrics(predicted, expected, target_text)
     if recall == precision == 1.0:
         return EvalOutcome(OutcomeKind.EXACT, 1.0, 1.0, 1.0)
     if f1 == 0.0:
@@ -157,7 +156,14 @@ def _range_from_json(obj, where: str) -> CharacterRange:
 
 
 def record_from_json(obj: dict, where: str = "record") -> EvalRecord:
+    """The record a codemapper-eval-v1 object describes; anything else is a
+    DatasetError that names `where`."""
     try:
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{where}: a record is a JSON object, not {type(obj).__name__}")
+        schema = obj.get("schema", DATASET_SCHEMA)
+        if schema != DATASET_SCHEMA:
+            raise DatasetError(f"{where}: schema {schema!r} is not {DATASET_SCHEMA!r}")
         source = obj["source"]
         region = Region(
             source["commit"], source["file"], _range_from_json(source, where)
@@ -166,12 +172,14 @@ def record_from_json(obj: dict, where: str = "record") -> EvalRecord:
         expected: Target
         if expected_obj == "deleted":
             expected = DELETED
-        else:
+        elif isinstance(expected_obj, dict):
             expected = Region(
                 obj["target_commit"],
                 expected_obj.get("file", source["file"]),
                 _range_from_json(expected_obj, where),
             )
+        else:
+            raise DatasetError(f'{where}: expected is {expected_obj!r}, not an object or "deleted"')
         return EvalRecord(
             repo=obj["repo"],
             source=region,
@@ -230,60 +238,49 @@ def dump_dataset(records, path) -> None:
 
 @dataclass
 class Aggregates:
-    records: int = 0
-    scored: int = 0
-    errors: int = 0
-    overlap_count: int = 0
-    exact_count: int = 0
-    mean_char_distance: float | None = None
-    mean_recall: float = 0.0
-    mean_precision: float = 0.0
-    mean_f1: float = 0.0
+    """A report's aggregates, its fields in report order. Rates are over
+    scored records; character distance is averaged over partial overlaps."""
 
-    @property
-    def overlap_rate(self) -> float:
-        return self.overlap_count / self.scored if self.scored else 0.0
-
-    @property
-    def exact_rate(self) -> float:
-        return self.exact_count / self.scored if self.scored else 0.0
+    records: int
+    scored: int
+    errors: int
+    overlap_count: int
+    overlap_rate: float
+    exact_count: int
+    exact_rate: float
+    mean_char_distance: float | None
+    mean_recall: float
+    mean_precision: float
+    mean_f1: float
 
     def to_json(self) -> dict:
-        return {
-            "records": self.records,
-            "scored": self.scored,
-            "errors": self.errors,
-            "overlap_count": self.overlap_count,
-            "overlap_rate": self.overlap_rate,
-            "exact_count": self.exact_count,
-            "exact_rate": self.exact_rate,
-            "mean_char_distance": self.mean_char_distance,
-            "mean_recall": self.mean_recall,
-            "mean_precision": self.mean_precision,
-            "mean_f1": self.mean_f1,
-        }
+        return asdict(self)
 
 
 def aggregate(results) -> Aggregates:
-    """Permutation-invariant aggregates over record results.
-
-    Character distance is averaged over partial overlaps only.
-    """
-    agg = Aggregates(records=len(results))
+    """Permutation-invariant aggregates over record results."""
     outcomes = [r.outcome for r in results if r.outcome is not None]
-    agg.scored = len(outcomes)
-    agg.errors = sum(1 for r in results if r.error is not None)
-    if not outcomes:
-        return agg
-    agg.overlap_count = sum(1 for o in outcomes if o.is_overlap)
-    agg.exact_count = sum(1 for o in outcomes if o.is_exact)
+    scored = len(outcomes)
+    overlap = sum(1 for o in outcomes if o.is_overlap)
+    exact = sum(1 for o in outcomes if o.is_exact)
     distances = [o.char_distance for o in outcomes if o.char_distance is not None]
-    if distances:
-        agg.mean_char_distance = sum(distances) / len(distances)
-    agg.mean_recall = sum(o.recall for o in outcomes) / len(outcomes)
-    agg.mean_precision = sum(o.precision for o in outcomes) / len(outcomes)
-    agg.mean_f1 = sum(o.f1 for o in outcomes) / len(outcomes)
-    return agg
+
+    def mean(values) -> float:
+        return sum(values) / scored if scored else 0.0
+
+    return Aggregates(
+        records=len(results),
+        scored=scored,
+        errors=sum(1 for r in results if r.error is not None),
+        overlap_count=overlap,
+        overlap_rate=overlap / scored if scored else 0.0,
+        exact_count=exact,
+        exact_rate=exact / scored if scored else 0.0,
+        mean_char_distance=sum(distances) / len(distances) if distances else None,
+        mean_recall=mean(o.recall for o in outcomes),
+        mean_precision=mean(o.precision for o in outcomes),
+        mean_f1=mean(o.f1 for o in outcomes),
+    )
 
 
 @dataclass
@@ -329,13 +326,7 @@ def _result_to_json(result: RecordResult) -> dict:
         "expected": target_to_json(result.record.expected),
     }
     if result.outcome is not None:
-        out["outcome"] = {
-            "kind": result.outcome.kind.value,
-            "recall": result.outcome.recall,
-            "precision": result.outcome.precision,
-            "f1": result.outcome.f1,
-            "char_distance": result.outcome.char_distance,
-        }
+        out["outcome"] = {**asdict(result.outcome), "kind": result.outcome.kind.value}
     if result.error is not None:
         out["error"] = result.error
     return out
@@ -388,6 +379,9 @@ def evaluate_record(
                 target_text = GitGateway(repo).file_content(
                     result.target_commit, record.expected.file
                 )
+            # An expected range that does not fit its file is the record's
+            # error, whatever was predicted.
+            to_abs_interval(target_text, record.expected.range)
         else:
             target_text = ""
         outcome = classify_outcome(predicted, record.expected, target_text)

@@ -2,6 +2,7 @@
 mapping scenarios the tool is designed for (token refinement, text search,
 vertical movement, deletions, offsets, renames), plus a JSONL dataset and a
 manifest of expected outcomes. Every scenario is one entry of `SCENARIOS`.
+`RepoBuilder` builds each scenario's repository, and every test repository.
 
 Build it anywhere with:  python3 -m codemapper.fixtures DEST
 then evaluate with:      codemapper eval --dataset DEST/dataset.jsonl
@@ -75,28 +76,40 @@ def _git(cwd, *args, **env) -> str:
     return run_git(args, cwd, env={**_diff_env(), **env}).decode()
 
 
-def _build_repo(root: Path, name: str, versions: list[dict[str, str | None]]) -> list[str]:
-    repo = root / "repos" / name
-    repo.mkdir(parents=True)
-    _git(repo, "init", "-q", "-b", "main")
-    _git(repo, "config", "user.email", "fixtures@example.com")
-    _git(repo, "config", "user.name", "Fixture Builder")
-    shas = []
-    for i, files in enumerate(versions):
-        for rel, content in files.items():
-            path = repo / rel
+class RepoBuilder:
+    """Builds a new git repository at `path`, commit by commit. Every commit
+    carries `_DATE` and runs through `_git`, so the caller's git config and
+    dates do not change the hashes. A path that already exists is an error,
+    so nothing is ever committed on top of an old repository."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.mkdir(parents=True)
+        _git(self.path, "init", "-q", "-b", "main")
+        _git(self.path, "config", "user.email", "fixtures@example.com")
+        _git(self.path, "config", "user.name", "Fixture Builder")
+        self.commits: list[str] = []
+
+    def commit(self, files: dict[str, str | bytes | None], message: str = "change") -> str:
+        """Write each file's text or bytes, remove each file given None,
+        commit everything and return the commit's hash."""
+        for name, content in files.items():
+            path = self.path / name
             if content is None:
                 path.unlink()
+                continue
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
             else:
-                path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(content, encoding="utf-8")
-        _git(repo, "add", "-A")
+        _git(self.path, "add", "-A")
         _git(
-            repo, "commit", "-q", "-m", f"version {i + 1}",
+            self.path, "commit", "-q", "-m", message, "--allow-empty",
             GIT_AUTHOR_DATE=_DATE, GIT_COMMITTER_DATE=_DATE,
         )
-        shas.append(_git(repo, "rev-parse", "HEAD").strip())
-    return shas
+        self.commits.append(_git(self.path, "rev-parse", "HEAD").strip())
+        return self.commits[-1]
 
 
 def _region(scenario: Scenario, shas: list[str], side: Side) -> Region | DeletedRegion:
@@ -428,7 +441,8 @@ def build_corpus(dest) -> list[FixtureCase]:
     root.mkdir(parents=True, exist_ok=True)
     cases: list[FixtureCase] = []
     for scenario in SCENARIOS:
-        shas = _build_repo(root, scenario.repo, scenario.versions)
+        builder = RepoBuilder(root / "repos" / scenario.repo)
+        shas = [builder.commit(files, f"version {i + 1}") for i, files in enumerate(scenario.versions)]
         for row in scenario.rows:
             record = EvalRecord(
                 f"repos/{scenario.repo}",

@@ -14,8 +14,9 @@ config change made mid-process (diff.renameLimit, say) is not seen, as
 with the reader. The four diffs, one per algorithm, run at most one per
 usable CPU at a time. A word report's @@ headers are those of the plain
 line diff, so one diff per algorithm gives both the line hunks and their
-intra-line fragments. The CODEMAPPER_GIT environment variable chooses the
-git executable; without it, `git` on PATH runs.
+intra-line fragments; identical texts give one empty report, with no git
+diff run. The CODEMAPPER_GIT environment variable chooses the git
+executable; without it, `git` on PATH runs.
 """
 
 import atexit
@@ -53,9 +54,8 @@ def _diff_env() -> dict[str, str]:
     --no-index`, so diffs run without it. Under a byte locale the word
     regex's [[:alnum:]] stops at non-ASCII letters and splits identifiers
     such as `naïve_value`. Repository commands keep the caller's config,
-    because safe.directory lives there; `codemapper.fixtures` builds its
-    repositories under this environment too, and so does the test suite's
-    `RepoBuilder`, through `fixtures._git`.
+    because safe.directory lives there; `codemapper.fixtures.RepoBuilder`
+    builds every corpus and test repository under this environment too.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
     return {
@@ -430,15 +430,15 @@ class GitGateway:
 
         At most one diff per usable CPU runs at a time: the next starts once
         the oldest running one has been collected, so more diffs than CPUs
-        would only share them. Identical texts yield no reports. Hunks carry
-        no context lines, so line numbers come straight from the @@ headers.
-        The texts differ, so any exit status but 1, or exit status 1 with no
+        would only share them. Identical texts yield one empty report, without
+        starting git. Hunks carry no context lines, so line numbers come
+        straight from the @@ headers. The texts differ, so any exit status but 1, or exit status 1 with no
         output, is a git failure, not an empty diff.
         """
         source_text = normalize_newlines(source_text)
         target_text = normalize_newlines(target_text)
         if source_text == target_text:
-            return []
+            return [""]
         algorithms = tuple(algorithms)
         width = _usable_cpus()
         env = _diff_env()

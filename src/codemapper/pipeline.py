@@ -103,10 +103,7 @@ def map_region(
     candidates = dedup_candidates(candidates)
     phase1_done = time.perf_counter()
 
-    reference_hunks = reports[0] if reports else ()
-    ranked = select_target(
-        source.range, source_text, candidates, config, reference_hunks, target_text
-    )
+    ranked = select_target(source.range, source_text, candidates, config, reports[0], target_text)
     finished = time.perf_counter()
 
     return MappingResult(

@@ -14,6 +14,7 @@ import codemapper
 from codemapper import cli, evaluation
 from codemapper.cli import main
 from codemapper.diffparse import MalformedDiff
+from codemapper.evaluation import EvalRecord, record_to_json
 from codemapper.fixtures import build_corpus
 from codemapper.gitio import DiffToolFailure, RepoError
 from codemapper.pipeline import map_region
@@ -359,7 +360,7 @@ class TestCmdEval:
         assert "records=0" in out
 
     @pytest.mark.parametrize(
-        "flag, value", [("--context", "-1"), ("--context-sweep", "0,-5")]
+        "flag, value", [("--context", "-1"), ("--context-sweep", "0,-5"), ("--context", "ten")]
     )
     def test_negative_context_is_64(self, tmp_path, capsys, monkeypatch, flag, value):
         dataset = tmp_path / "empty.jsonl"
@@ -373,7 +374,13 @@ class TestCmdEval:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--jobs", "0"), ("--jobs", "-3"), ("--context-sweep", ","), ("--context-sweep", "")],
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--jobs", "x"),
+            ("--context-sweep", ","),
+            ("--context-sweep", ""),
+        ],
     )
     def test_no_jobs_or_no_sweep_size_is_64(self, tmp_path, capsys, monkeypatch, flag, value):
         dataset = tmp_path / "empty.jsonl"
@@ -449,6 +456,29 @@ class TestCmdEval:
         code, _, err = run_cli(capsys, "eval", "--dataset", str(dataset))
         assert code == 65
         assert ":1:" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("expected", "gone"), ("schema", "codemapper-eval-v9")]
+    )
+    def test_line_that_is_no_v1_record_is_65_with_line_number(
+        self, tmp_path, capsys, key, value
+    ):
+        record = EvalRecord(
+            "repo", Region("a" * 40, "f.py", make_range(1, 1, 1, 1)), "b" * 40, DELETED
+        )
+        good = record_to_json(record)
+        dataset = tmp_path / "bad.jsonl"
+        lines = [json.dumps(good), json.dumps({**good, key: value})]
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset))
+        assert (code, out) == (65, "")
+        assert err.startswith(f"codemapper: {dataset}:2: ")
+        assert value in err
+
+    def test_unreadable_dataset_is_65(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(tmp_path / "missing.jsonl"))
+        assert (code, out) == (65, "")
+        assert err.startswith("codemapper: cannot read dataset: ")
 
     def test_report_to_file(self, corpus, tmp_path, capsys):
         out_file = tmp_path / "report.json"

@@ -187,6 +187,21 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_line_that_is_no_object_is_fatal(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('["schema", "source"]\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=":1: a record is a JSON object, not list"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("side, key", [("source", "l1"), ("expected", "c2")])
+    def test_range_without_a_coordinate_is_fatal(self, tmp_path, side, key):
+        obj = record_to_json(make_record())
+        del obj[side][key]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f":1: bad range fields: '{key}'"):
+            load_dataset(path)
+
 
 class TestAggregation:
     def outcome(self, kind, r=1.0, p=1.0, f=1.0, dist=None):
@@ -271,6 +286,23 @@ def test_evaluate_records_repo_errors_without_dying(tmp_path):
     assert record["error"].startswith(f"RepoError: no repository directory at {tmp_path}")
     assert record["predicted"] is None
     assert "outcome" not in record
+
+
+@pytest.mark.parametrize("predicted", ["in another file", "deleted", "in the expected file"])
+def test_expected_range_outside_its_file_is_a_record_error(repo_builder, predicted):
+    first = repo_builder.commit({"f.py": "alpha\nbeta\n", "g.py": "gamma\n"})
+    second = repo_builder.commit({"f.py": None} if predicted == "deleted" else {})
+    source = Region(first, "f.py", make_range(2, 1, 2, 4))
+    expected_file = "f.py" if predicted == "in the expected file" else "g.py"
+    record = EvalRecord(
+        repo=str(repo_builder.path),
+        source=source,
+        target_commit=second,
+        expected=Region(second, expected_file, make_range(9, 1, 9, 1)),
+    )
+    result = evaluate_record(record, SelectionConfig())
+    assert result.outcome is None
+    assert result.error.startswith("OutOfBounds: start line 9 beyond file of ")
 
 
 def test_clone_of_bare_repo_runs_codemapper_git(repo_builder, tmp_path, monkeypatch):

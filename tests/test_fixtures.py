@@ -5,9 +5,8 @@ import subprocess
 
 import pytest
 
-from codemapper.fixtures import build_corpus
+from codemapper.fixtures import RepoBuilder, build_corpus, main
 from codemapper.pipeline import map_region
-from conftest import RepoBuilder
 
 
 def _corpus_repo(dest):
@@ -58,3 +57,14 @@ def test_two_builds_write_identical_files(tmp_path, monkeypatch):
     for name in ("dataset.jsonl", "manifest.json"):
         first = (tmp_path / "first" / name).read_bytes()
         assert first == (tmp_path / "second" / name).read_bytes()
+
+
+def test_main_builds_one_corpus_at_dest_and_never_over_an_old_one(tmp_path, capsys):
+    assert main([]) == 64
+    assert capsys.readouterr().err == "usage: python3 -m codemapper.fixtures DEST\n"
+    dest = tmp_path / "corpus"
+    assert main([str(dest)]) == 0
+    assert capsys.readouterr().out == f"built 12 fixture cases under {dest}\n"
+    assert (dest / "dataset.jsonl").is_file() and (dest / "manifest.json").is_file()
+    with pytest.raises(FileExistsError):
+        build_corpus(dest)

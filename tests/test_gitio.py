@@ -10,12 +10,11 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import RepoBuilder
 
 import codemapper
 from codemapper import gitio
 from codemapper.diffparse import align, parse_word_diff
-from codemapper.fixtures import _git, build_corpus
+from codemapper.fixtures import RepoBuilder, _git, build_corpus
 from codemapper.gitio import (
     ALL_CONFIGS,
     Algorithm,
@@ -53,7 +52,7 @@ class TestFileContent:
         assert GitGateway(repo_builder.path).file_content(sha, "f.txt") == ""
 
     def test_binary_rejected(self, repo_builder):
-        sha = repo_builder.commit_binary("blob.bin", b"\x00\x01\x02")
+        sha = repo_builder.commit({"blob.bin": b"\x00\x01\x02"})
         with pytest.raises(BinaryFile):
             GitGateway(repo_builder.path).file_content(sha, "blob.bin")
 
@@ -78,7 +77,7 @@ class TestFileContent:
 class TestBatchRead:
     def test_one_answer_per_name(self, repo_builder):
         repo_builder.commit({"f.txt": BASE, "pkg/m.py": "x = 1\n"})
-        sha = repo_builder.commit_binary("blob.bin", b"\x00\x01")
+        sha = repo_builder.commit({"blob.bin": b"\x00\x01"})
         commit, text, binary, tree, missing = GitGateway(repo_builder.path).read_objects(
             [f"{sha}^{{commit}}", f"{sha}:f.txt", f"{sha}:blob.bin", f"{sha}:pkg", f"{sha}:nope"]
         )
@@ -447,7 +446,7 @@ class TestRenameTracking:
 class TestDiffReports:
     def test_identical_contents_give_no_reports(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
-        assert gateway.diff_texts(BASE, BASE) == []
+        assert gateway.diff_texts(BASE, BASE) == [""]
 
     def test_single_line_edit_gives_one_hunk(self, repo_builder):
         gateway = GitGateway(repo_builder.path)
