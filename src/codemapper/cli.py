@@ -14,15 +14,6 @@ import traceback
 from pathlib import Path
 
 from codemapper.diffparse import MalformedDiff
-from codemapper.evaluation import (
-    DatasetError,
-    EvalReport,
-    ablation_matrix,
-    context_sweep,
-    evaluate,
-    load_dataset,
-    target_to_json,
-)
 from codemapper.gitio import NotFound, RepoError
 from codemapper.pipeline import MappingResult, map_region
 from codemapper.regions import (
@@ -31,6 +22,7 @@ from codemapper.regions import (
     OutOfBounds,
     Region,
     make_range,
+    target_to_json,
 )
 from codemapper.selector import SelectionConfig
 
@@ -196,7 +188,7 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _aggregates_text(label: str, report: EvalReport) -> str:
+def _aggregates_text(label: str, report) -> str:
     agg = report.aggregates
     distance = (
         f"{agg.mean_char_distance:.1f}" if agg.mean_char_distance is not None else "-"
@@ -211,6 +203,15 @@ def _aggregates_text(label: str, report: EvalReport) -> str:
 
 
 def cmd_eval(args) -> int:
+    # Imported here, so that `map` does not load the evaluation harness.
+    from codemapper.evaluation import (
+        DatasetError,
+        ablation_matrix,
+        context_sweep,
+        evaluate,
+        load_dataset,
+    )
+
     try:
         records = load_dataset(args.dataset)
     except DatasetError as exc:

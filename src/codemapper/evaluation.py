@@ -25,6 +25,7 @@ from codemapper.regions import (
     OutOfBounds,
     Region,
     Target,
+    target_to_json,
     to_abs_interval,
 )
 from codemapper.selector import SelectionConfig
@@ -148,25 +149,44 @@ def classify_outcome(predicted: Target, expected: Target, target_text: str) -> E
 # -- dataset IO ----------------------------------------------------------------
 
 
-def _range_from_json(obj, where: str) -> CharacterRange:
+def _field(obj: dict, name: str, kind: type, where: str, default=None):
+    """The value of the last part of the dotted `name` in `obj`, or `default`
+    if there is one and the key is absent. A value that is not a `kind` (a
+    bool is never an int) is a DatasetError naming `where`."""
+    key = name.rpartition(".")[2]
+    if key not in obj and default is not None:
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError(f"{where}: {name} is {value!r}, not {kind.__name__}")
+    return value
+
+
+def _range_from_json(obj, side: str, where: str) -> CharacterRange:
     try:
-        return CharacterRange(obj["l1"], obj["c1"], obj["l2"], obj["c2"])
-    except (KeyError, TypeError) as exc:
+        coords = [_field(obj, f"{side}.{key}", int, where) for key in ("l1", "c1", "l2", "c2")]
+        return CharacterRange(*coords)
+    except KeyError as exc:
         raise DatasetError(f"{where}: bad range fields: {exc}") from exc
 
 
 def record_from_json(obj: dict, where: str = "record") -> EvalRecord:
-    """The record a codemapper-eval-v1 object describes; anything else is a
-    DatasetError that names `where`."""
+    """The record a codemapper-eval-v1 object describes; anything else,
+    a field of the wrong type included, is a DatasetError that names
+    `where`."""
     try:
         if not isinstance(obj, dict):
             raise DatasetError(f"{where}: a record is a JSON object, not {type(obj).__name__}")
         schema = obj.get("schema", DATASET_SCHEMA)
         if schema != DATASET_SCHEMA:
             raise DatasetError(f"{where}: schema {schema!r} is not {DATASET_SCHEMA!r}")
-        source = obj["source"]
+        target_commit = _field(obj, "target_commit", str, where)
+        source = _field(obj, "source", dict, where)
+        source_file = _field(source, "source.file", str, where)
         region = Region(
-            source["commit"], source["file"], _range_from_json(source, where)
+            _field(source, "source.commit", str, where),
+            source_file,
+            _range_from_json(source, "source", where),
         )
         expected_obj = obj["expected"]
         expected: Target
@@ -174,19 +194,22 @@ def record_from_json(obj: dict, where: str = "record") -> EvalRecord:
             expected = DELETED
         elif isinstance(expected_obj, dict):
             expected = Region(
-                obj["target_commit"],
-                expected_obj.get("file", source["file"]),
-                _range_from_json(expected_obj, where),
+                target_commit,
+                _field(expected_obj, "expected.file", str, where, source_file),
+                _range_from_json(expected_obj, "expected", where),
             )
         else:
             raise DatasetError(f'{where}: expected is {expected_obj!r}, not an object or "deleted"')
+        tags = _field(obj, "tags", list, where, [])
+        if not all(isinstance(tag, str) for tag in tags):
+            raise DatasetError(f"{where}: tags is {tags!r}, not a list of strings")
         return EvalRecord(
-            repo=obj["repo"],
+            repo=_field(obj, "repo", str, where),
             source=region,
-            target_commit=obj["target_commit"],
+            target_commit=target_commit,
             expected=expected,
-            tags=tuple(obj.get("tags", ())),
-            name=obj.get("name", ""),
+            tags=tuple(tags),
+            name=_field(obj, "name", str, where, ""),
         )
     except DatasetError:
         raise
@@ -298,23 +321,6 @@ class EvalReport:
             "by_tag": {tag: agg.to_json() for tag, agg in self.by_tag.items()},
             "records": [_result_to_json(result) for result in self.results],
         }
-
-
-def target_to_json(target: Target | None):
-    """JSON form of a mapped region: its coordinates, "deleted" or None."""
-    if target is None:
-        return None
-    if isinstance(target, DeletedRegion):
-        return "deleted"
-    rng = target.range
-    return {
-        "commit": target.commit,
-        "file": target.file,
-        "l1": rng.l1,
-        "c1": rng.c1,
-        "l2": rng.l2,
-        "c2": rng.c2,
-    }
 
 
 def _result_to_json(result: RecordResult) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from codemapper.evaluation import EvalRecord, dump_dataset
-from codemapper.gitio import _diff_env, run_git
+from codemapper.gitio import run_git
 from codemapper.regions import (
     DELETED,
     AbsInterval,
@@ -70,17 +70,18 @@ class Scenario(NamedTuple):
     rows: list[Row]
 
 
-def _git(cwd, *args, **env) -> str:
-    # The caller's config (commit.gpgsign, hooks) must not change what gets
-    # built; the repository's own user.name and user.email still apply.
-    return run_git(args, cwd, env={**_diff_env(), **env}).decode()
+def _git(cwd, *args) -> str:
+    # The caller's config (commit.gpgsign, hooks), dates and repository
+    # variables (GIT_DIR) must not change what gets built or where; the
+    # repository's own user.name and user.email still apply.
+    return run_git(args, cwd, isolated=True, date=_DATE).decode()
 
 
 class RepoBuilder:
     """Builds a new git repository at `path`, commit by commit. Every commit
-    carries `_DATE` and runs through `_git`, so the caller's git config and
-    dates do not change the hashes. A path that already exists is an error,
-    so nothing is ever committed on top of an old repository."""
+    carries `_DATE` and runs through `_git`, so the caller's environment
+    does not change the hashes. A path that already exists is an error, so
+    nothing is ever committed on top of an old repository."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -104,10 +105,7 @@ class RepoBuilder:
             else:
                 path.write_text(content, encoding="utf-8")
         _git(self.path, "add", "-A")
-        _git(
-            self.path, "commit", "-q", "-m", message, "--allow-empty",
-            GIT_AUTHOR_DATE=_DATE, GIT_COMMITTER_DATE=_DATE,
-        )
+        _git(self.path, "commit", "-q", "-m", message, "--allow-empty")
         self.commits.append(_git(self.path, "rev-parse", "HEAD").strip())
         return self.commits[-1]
 

@@ -15,8 +15,28 @@ with the reader. The four diffs, one per algorithm, run at most one per
 usable CPU at a time. A word report's @@ headers are those of the plain
 line diff, so one diff per algorithm gives both the line hunks and their
 intra-line fragments; identical texts give one empty report, with no git
-diff run. The CODEMAPPER_GIT environment variable chooses the git
-executable; without it, `git` on PATH runs.
+diff run.
+
+Which of the caller's settings reach git: every git process runs under one
+of two environments, both built by `_git_env`.
+- The repository environment, for every command but those below, is
+  the caller's minus the sixteen `_LOCAL_ENV_VARS` (`GIT_DIR`,
+  `GIT_INDEX_FILE`, ...). Git exports these to hooks, and they would choose
+  another repository than the one asked for, so they are ignored, as git's
+  own submodule code clears them before it enters another repository. The
+  list holds `GIT_CONFIG_PARAMETERS` and `GIT_CONFIG_COUNT`, so config
+  passed as `git -c` or in the environment is ignored too, a
+  `safe.directory` included; system and global config are honoured, and
+  that is where `safe.directory` belongs.
+- The isolated environment, for the word diffs and `RepoBuilder`, is the
+  repository environment without any caller config and with a pinned
+  UTF-8 locale. Config such as diff.interHunkContext reshapes the hunks of
+  `diff --no-index`, commit.gpgsign would change what gets built, and
+  under a byte locale the word regex's [[:alnum:]] splits identifiers such
+  as `naïve_value`. A builder's commit date is the one variable a caller
+  may lay on top of it.
+CODEMAPPER_GIT is honoured everywhere: it chooses the git executable;
+without it, `git` on PATH runs.
 """
 
 import atexit
@@ -46,24 +66,33 @@ WORD_DIFF_REGEX = "[[:alnum:]_]+|[^[:space:]]"
 DIFF_ISOLATION = ("--no-ext-diff", "--no-textconv")
 
 
-def _diff_env() -> dict[str, str]:
-    """The caller's environment without its system, global or
-    environment-passed git config, and with a pinned UTF-8 locale.
+# The variables `git rev-parse --local-env-vars` lists (git 2.39.5): each
+# chooses the repository, its objects, index or config.
+_LOCAL_ENV_VARS = (
+    "GIT_DIR", "GIT_WORK_TREE", "GIT_IMPLICIT_WORK_TREE", "GIT_COMMON_DIR",
+    "GIT_OBJECT_DIRECTORY", "GIT_ALTERNATE_OBJECT_DIRECTORIES",
+    "GIT_INDEX_FILE", "GIT_GRAFT_FILE", "GIT_SHALLOW_FILE",
+    "GIT_NO_REPLACE_OBJECTS", "GIT_REPLACE_REF_BASE",
+    "GIT_CONFIG", "GIT_CONFIG_PARAMETERS", "GIT_CONFIG_COUNT",
+    "GIT_PREFIX", "GIT_INTERNAL_SUPER_PREFIX",
+)
 
-    Config such as diff.interHunkContext reshapes the hunks of `diff
-    --no-index`, so diffs run without it. Under a byte locale the word
-    regex's [[:alnum:]] stops at non-ASCII letters and splits identifiers
-    such as `naïve_value`. Repository commands keep the caller's config,
-    because safe.directory lives there; `codemapper.fixtures.RepoBuilder`
-    builds every corpus and test repository under this environment too.
-    """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_CONFIG")}
-    return {
-        **env,
-        "GIT_CONFIG_NOSYSTEM": "1",
-        "GIT_CONFIG_GLOBAL": os.devnull,
-        "LC_ALL": "C.UTF-8",
+
+def _git_env(isolated: bool = False, date: str | None = None) -> dict[str, str]:
+    """The environment a git process runs under (see the module docstring):
+    the repository environment, or the isolated one, with both commit dates
+    set to `date` if one is given."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("GIT_")  # most names: no search of the tuple
+        or k not in _LOCAL_ENV_VARS and not (isolated and k.startswith("GIT_CONFIG"))
     }
+    if isolated:
+        env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL=os.devnull, LC_ALL="C.UTF-8")
+        if date:
+            env.update(GIT_AUTHOR_DATE=date, GIT_COMMITTER_DATE=date)
+    return env
 
 
 class RepoError(RuntimeError):
@@ -111,12 +140,14 @@ def git_executable() -> str:
     return os.environ.get(GIT_ENV_VAR) or "git"
 
 
-def _start(git: str, args, cwd, *, env=None, stdin=None, stderr=subprocess.PIPE):
-    """Start `git args` in `cwd` with stdout piped; the one place codemapper
-    starts a process. A git that cannot be started is a RepoError."""
+def _start(git: str, args, cwd, *, isolated=False, date=None, stdin=None, stderr=subprocess.PIPE):
+    """Start `git args` in `cwd` with stdout piped, under `_git_env(isolated,
+    date)`; the one place codemapper starts a process. A git that cannot be
+    started is a RepoError."""
     try:
         return subprocess.Popen(
-            [git, *args], cwd=cwd, env=env, stdin=stdin, stdout=subprocess.PIPE, stderr=stderr
+            [git, *args], cwd=cwd, env=_git_env(isolated, date),
+            stdin=stdin, stdout=subprocess.PIPE, stderr=stderr,
         )
     except OSError as exc:
         raise RepoError(f"cannot run {git}: {exc}") from exc
@@ -131,10 +162,10 @@ def _finish(proc, what: str, ok=(0,), error=RepoError) -> bytes:
     return stdout
 
 
-def run_git(args, cwd=None, *, env=None, ok=(0,)) -> bytes:
-    """Run `git args` in `cwd` to the end; its stdout. RepoError if git
-    cannot be started or exits with a code not in `ok`."""
-    with _start(git_executable(), args, cwd, env=env) as proc:
+def run_git(args, cwd=None, *, ok=(0,), isolated=False, date=None) -> bytes:
+    """Run `git args` in `cwd` to the end, as `_start` does; its stdout.
+    RepoError if git cannot be started or exits with a code not in `ok`."""
+    with _start(git_executable(), args, cwd, isolated=isolated, date=date) as proc:
         return _finish(proc, args[0], ok)
 
 
@@ -212,13 +243,14 @@ _readers_lock = threading.Lock()
 
 def _checkout(repo: Path, git: str) -> _Reader:
     """The reader for `repo`, started if there is none or if the directory
-    at that path is not the one it was started in.
+    at that path is not the one it was started in. Readers are keyed on the
+    GIT_ variables of the repository environment they run under.
 
     A running reader keeps the repository directory it runs in from being
     freed, so a repository re-created at the same path has a new inode.
     """
     path = os.path.abspath(repo)
-    key = (path, git, tuple(sorted(kv for kv in os.environ.items() if kv[0].startswith("GIT_"))))
+    key = (path, git, tuple(sorted(kv for kv in _git_env().items() if kv[0].startswith("GIT_"))))
     try:
         stat = os.stat(path)
     except OSError as exc:
@@ -441,7 +473,6 @@ class GitGateway:
             return [""]
         algorithms = tuple(algorithms)
         width = _usable_cpus()
-        env = _diff_env()
         reports: list[str] = []
         with tempfile.TemporaryDirectory(prefix="codemapper-") as tmp:
             tmp_path = Path(tmp)
@@ -451,7 +482,7 @@ class GitGateway:
             try:
                 for i, algorithm in enumerate(algorithms):
                     while len(started) < min(i + width, len(algorithms)):
-                        started.append(self._start_diff(algorithms[len(started)], tmp_path, env))
+                        started.append(self._start_diff(algorithms[len(started)], tmp_path))
                     stdout = _finish(started[i], "diff", (1,), DiffToolFailure)
                     if not stdout:
                         raise DiffToolFailure(
@@ -472,7 +503,7 @@ class GitGateway:
                     proc.stderr.close()
         return reports
 
-    def _start_diff(self, algorithm: Algorithm, workdir: Path, env) -> subprocess.Popen:
+    def _start_diff(self, algorithm: Algorithm, workdir: Path) -> subprocess.Popen:
         """Start the word diff of `a` against `b` in `workdir`."""
         args = [
             "diff",
@@ -488,7 +519,7 @@ class GitGateway:
             "a",
             "b",
         ]
-        return _start(self.git, args, workdir, env=env)
+        return _start(self.git, args, workdir, isolated=True)
 
 
 # A git status letter, with a score after a rename or copy (R100, C075).

@@ -95,6 +95,23 @@ DELETED = DeletedRegion()
 Target = Region | DeletedRegion
 
 
+def target_to_json(target: Target | None):
+    """JSON form of a mapped region: its coordinates, "deleted" or None."""
+    if target is None:
+        return None
+    if isinstance(target, DeletedRegion):
+        return "deleted"
+    rng = target.range
+    return {
+        "commit": target.commit,
+        "file": target.file,
+        "l1": rng.l1,
+        "c1": rng.c1,
+        "l2": rng.l2,
+        "c2": rng.c2,
+    }
+
+
 @dataclass(frozen=True)
 class AbsInterval:
     """Half-open [start, end) character-offset span within a normalized text."""

@@ -278,6 +278,23 @@ def test_python_m_codemapper_runs_the_cli(repo_builder, capsys):
     assert proc.stdout == run_cli(capsys, *args)[1]
 
 
+def test_map_does_not_load_the_evaluation_harness(repo_builder):
+    first = repo_builder.commit({"f.py": BASE})
+    second = repo_builder.commit({"f.py": "head\n" + BASE})
+    script = (
+        "import sys\n"
+        "from codemapper.cli import main\n"
+        f"code = main({map_args(repo_builder.path, first, second, '--format', 'json')!r})\n"
+        "print('codemapper.evaluation' in sys.modules, code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(codemapper.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
 GIT = shutil.which("git")
 
 
@@ -366,7 +383,7 @@ class TestCmdEval:
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
         monkeypatch.setattr(cli, "SelectionConfig", _no_config)
-        monkeypatch.setattr(cli, "load_dataset", _no_config)
+        monkeypatch.setattr(evaluation, "load_dataset", _no_config)
         code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
         assert code == 64
         assert flag in err
@@ -385,7 +402,7 @@ class TestCmdEval:
     def test_no_jobs_or_no_sweep_size_is_64(self, tmp_path, capsys, monkeypatch, flag, value):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
-        monkeypatch.setattr(cli, "load_dataset", _no_config)
+        monkeypatch.setattr(evaluation, "load_dataset", _no_config)
         code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset), flag, value)
         assert code == 64
         assert flag in err
@@ -424,7 +441,7 @@ class TestCmdEval:
         def fail(*args, **kwargs):
             raise KeyError("records")
 
-        monkeypatch.setattr(cli, "evaluate", fail)
+        monkeypatch.setattr(evaluation, "evaluate", fail)
         code, out, err = run_cli(capsys, "eval", "--dataset", str(dataset))
         assert code == 70
         assert "codemapper: internal error: KeyError: 'records'" in err

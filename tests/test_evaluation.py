@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import shutil
 import subprocess
 
@@ -200,6 +201,33 @@ class TestDatasetIO:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f":1: bad range fields: '{key}'"):
+            load_dataset(path)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("repo", 5),
+            ("target_commit", 7),
+            ("name", 3),
+            ("source.commit", 12),
+            ("source.file", 3),
+            ("expected.file", ["f.py"]),
+            ("tags", "python"),
+            ("tags", ["python", 1]),
+            ("source.l1", True),
+            ("source.c1", 1.5),
+            ("expected.l2", 2.0),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_fatal(self, tmp_path, field, value):
+        obj = record_to_json(make_record())
+        *parents, key = field.split(".")
+        target = obj[parents[0]] if parents else obj
+        target[key] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f":2: {field} is {re.escape(repr(value))}, not "):
             load_dataset(path)
 
 

@@ -36,3 +36,33 @@ def test_only_gitio_starts_processes(path):
     """gitio is the one door to git: no other module imports subprocess."""
     if path.name != "gitio.py":
         assert "subprocess" not in imported_modules(path)
+
+
+ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def environment_reads(path: Path) -> list[int]:
+    """Lines where `path` names `os.environ`, `os.environb` or `os.getenv`,
+    as an attribute of `os` or imported from it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_environment_reads_are_found():
+    assert environment_reads(SOURCES[0].parent / "gitio.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_gitio_reads_the_environment(path):
+    """gitio alone decides what of the caller's environment git sees: no
+    other module reads the process environment."""
+    if path.name != "gitio.py":
+        lines = environment_reads(path)
+        assert not lines, f"{path.name} reads the environment at lines {lines}"
